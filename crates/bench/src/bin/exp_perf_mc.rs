@@ -13,12 +13,14 @@
 //!    the serial kernel, the parallel kernel
 //!    (`RoundStepper` + `SolvabilityMemo`, allocation-free steps,
 //!    first-solving-round early exit), and the **bit-sliced kernel**
-//!    (`monte_carlo_bitsliced`: 64 samples per `u64` lane word, verdicts
-//!    from a compiled `VerdictPlan`), with ≥ 5× floors asserted for the
+//!    (`monte_carlo_bitsliced_series_with_stats`: 64 samples per `u64`
+//!    lane word, verdicts from a compiled `VerdictPlan`, the point
+//!    estimate read off the series tail), with ≥ 5× floors asserted for the
 //!    parallel kernel over the reference *and* for the bit-sliced kernel
 //!    over the parallel (PR 5) kernel;
-//! 4. **lane bit-identity** — `monte_carlo_bitsliced` is asserted
-//!    bit-identical to `monte_carlo_parallel` for the same
+//! 4. **lane bit-identity** — the bit-sliced point estimate (the tail
+//!    of a series to `t`) is asserted bit-identical to
+//!    `monte_carlo_parallel` for the same
 //!    `(seed, samples)` across `threads ∈ {1, 2, 4, 8}` and
 //!    non-multiple-of-64 sample counts (lane `l` of word `w` is exactly
 //!    stream `w·64 + l`), series included;
@@ -221,7 +223,7 @@ fn performance(table: &mut Table, threads: usize, samples: usize, seed: u64) -> 
             )
         });
         let (bitsliced_est, bitsliced_ms) = time_ms(|| {
-            probability::monte_carlo_bitsliced(
+            probability::monte_carlo_bitsliced_series_with_stats(
                 &Model::Blackboard,
                 task.as_ref(),
                 &alpha,
@@ -230,6 +232,7 @@ fn performance(table: &mut Table, threads: usize, samples: usize, seed: u64) -> 
                 seed,
                 threads,
             )
+            .0[t - 1]
         });
         assert_eq!(
             bitsliced_est,
@@ -268,7 +271,7 @@ fn performance(table: &mut Table, threads: usize, samples: usize, seed: u64) -> 
     (min_parallel_speedup, min_bitsliced_speedup)
 }
 
-/// Acceptance: `monte_carlo_bitsliced` estimates (and whole series) are
+/// Acceptance: bit-sliced point estimates (and whole series) are
 /// bit-identical to the PR 5 scalar kernel for the same `(seed, samples)`
 /// across thread counts and lane fills — including counts straddling
 /// word boundaries. Returns the merged lane-path statistics.
@@ -293,7 +296,7 @@ fn bitsliced_identity(table: &mut Table, samples: usize, seed: u64, stats: &mut 
                 1,
             );
             for threads in [1usize, 2, 4, 8] {
-                let (est, st) = probability::monte_carlo_bitsliced_with_stats(
+                let (series, st) = probability::monte_carlo_bitsliced_series_with_stats(
                     &Model::Blackboard,
                     task.as_ref(),
                     &alpha,
@@ -304,7 +307,7 @@ fn bitsliced_identity(table: &mut Table, samples: usize, seed: u64, stats: &mut 
                 );
                 stats.merge(&st);
                 assert_eq!(
-                    est,
+                    series[t - 1],
                     reference,
                     "{} {sizes:?} samples={count}: bit-sliced estimate differs \
                      at threads={threads}",
@@ -331,7 +334,7 @@ fn bitsliced_identity(table: &mut Table, samples: usize, seed: u64, stats: &mut 
             seed,
             1,
         );
-        let sliced_series = probability::monte_carlo_bitsliced_series(
+        let (sliced_series, _) = probability::monte_carlo_bitsliced_series_with_stats(
             &Model::Blackboard,
             task.as_ref(),
             &alpha,

@@ -331,14 +331,16 @@ fn beyond_the_wall(table: &mut Table, threads: usize, totals: &mut Totals) {
     // 2^{2t} − 2^t — at t = 63 that is 2^126 − 2^63, the largest tally
     // the dyadic budget admits.
     let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-    let series = engine_dp::solved_series(&Model::Blackboard, &LeaderElection, &alpha, 63);
+    let (series, _) =
+        engine_dp::solved_series_with_stats(&Model::Blackboard, &LeaderElection, &alpha, 63, 1);
     assert_eq!(series[62], (1u128 << 126) - (1u128 << 63), "126-bit edge");
     // And [2, 2] never solves: every beyond-the-wall count stays zero.
-    let series = engine_dp::solved_series(
+    let (series, _) = engine_dp::solved_series_with_stats(
         &Model::Blackboard,
         &LeaderElection,
         &Assignment::from_group_sizes(&[2, 2]).unwrap(),
         63,
+        1,
     );
     assert!(series.iter().all(|&c| c == 0), "LE on [2,2] is a zero row");
 }

@@ -9,15 +9,13 @@
 //!   process-wide [`rsbt_core::probability::Cache`], so overlapping points
 //!   across report sections (and across specs in one binary) are computed
 //!   once;
-//! * **parallel fan-out** — uncached points are computed on
-//!   [`rsbt_sim::pool::map_with_arena`] workers (per-worker arenas, the
-//!   pattern proven bit-identical by `probability::exact_parallel`) and
-//!   merged back in deterministic point order, never completion order;
+//! * **parallel fan-out** — uncached points are split into contiguous
+//!   chunks over [`rsbt_sim::pool::map_with_arena`] workers and merged
+//!   back in deterministic point order, never completion order;
 //! * **one-pass series** — a worker computes each point's whole
-//!   `p(1..t_max)` series from a *single* execution-tree traversal
-//!   (`rsbt_core::engine` tallies solved nodes at every depth), and its
-//!   arena persists across the chunk so shared knowledge prefixes are
-//!   interned once.
+//!   `p(1..t_max)` series from a *single*
+//!   [`rsbt_core::probability::exact_series`] dispatch (the quotient DP
+//!   tallies solved mass at every depth).
 //!
 //! The engine's numbers are bit-identical to serial
 //! [`rsbt_core::probability::exact`] (asserted by the determinism tests in
@@ -544,8 +542,8 @@ pub(crate) fn point_seed(base: u64, model_label: &str, task_name: &str, sizes: &
     h ^ base
 }
 
-/// The executor: a probability cache, a shared arena for serial one-off
-/// evaluations, and a worker budget for sweep fan-out.
+/// The executor: a probability cache, a shared arena for bins' own
+/// enumeration checks, and a worker budget for sweep fan-out.
 pub struct SweepEngine {
     threads: usize,
     cache: Cache,
@@ -636,7 +634,7 @@ impl SweepEngine {
         )
     }
 
-    /// Cached exact `Pr[S(t) | α]` (serial path, engine arena).
+    /// Cached exact `Pr[S(t) | α]` (serial path).
     pub fn exact<T: Task + ?Sized>(
         &mut self,
         model: &Model,
@@ -644,10 +642,10 @@ impl SweepEngine {
         alpha: &Assignment,
         t: usize,
     ) -> f64 {
-        probability::exact_cached(&mut self.cache, model, task, alpha, t, &mut self.arena)
+        probability::exact_cached(&mut self.cache, model, task, alpha, t)
     }
 
-    /// Cached exact series `p(1..t_max)` (serial path, engine arena).
+    /// Cached exact series `p(1..t_max)` (serial path).
     pub fn exact_series<T: Task + ?Sized>(
         &mut self,
         model: &Model,
@@ -655,19 +653,12 @@ impl SweepEngine {
         alpha: &Assignment,
         t_max: usize,
     ) -> Vec<f64> {
-        probability::exact_series_cached(
-            &mut self.cache,
-            model,
-            task,
-            alpha,
-            t_max,
-            &mut self.arena,
-        )
+        probability::exact_series_cached(&mut self.cache, model, task, alpha, t_max)
     }
 
     /// Executes a declarative sweep: expands the spec, answers cached
-    /// points from memory, fans uncached points out over per-worker-arena
-    /// threads, merges deterministically, and returns one row per
+    /// points from memory, fans uncached points out over worker threads,
+    /// merges deterministically, and returns one row per
     /// `(task, model, α)` triple in expansion order.
     pub fn sweep(&mut self, spec: &SweepSpec) -> Vec<SweepRow> {
         let default_model = [ModelSpec::blackboard()];
@@ -741,19 +732,12 @@ impl SweepEngine {
             }
         }
 
-        // Parallel fan-out with per-worker arenas: each worker runs ONE
-        // execution-tree traversal per point (deep enough for the deepest
-        // missing t), reading the whole series off the per-depth tallies —
-        // never one enumeration per t.
-        let computed = pool::map_with_arena(&missing, self.threads, |arena, (p, ts)| {
+        // Parallel fan-out: each worker runs ONE exact dispatch per point
+        // (deep enough for the deepest missing t), reading the whole
+        // series off the per-depth tallies — never one computation per t.
+        let computed = pool::map_with_arena(&missing, self.threads, |_, (p, ts)| {
             let deepest = *ts.last().expect("missing points have at least one t");
-            probability::exact_series_with_arena(
-                &p.model,
-                p.task.as_ref(),
-                &p.alpha,
-                deepest,
-                arena,
-            )
+            probability::exact_series(&p.model, p.task.as_ref(), &p.alpha, deepest)
         });
 
         // Deterministic merge: point order, never completion order.
@@ -819,8 +803,8 @@ impl SweepEngine {
 
     /// Estimates one Monte-Carlo row's whole series in **one** sampling
     /// pass on the bit-sliced kernel
-    /// ([`probability::monte_carlo_bitsliced_series`]): sample `i` at
-    /// time `t` is the prefix of sample `i` at `t + 1`, so the series is
+    /// ([`probability::monte_carlo_bitsliced_series_with_stats`]): sample
+    /// `i` at time `t` is the prefix of sample `i` at `t + 1`, so the series is
     /// exactly monotone, and the estimator is bit-identical for any
     /// worker count — and to the PR 5 scalar kernel on the same seed —
     /// so the row is a pure function of the spec.

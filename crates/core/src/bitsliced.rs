@@ -47,166 +47,19 @@ use rsbt_tasks::{Task, VerdictPlan};
 use crate::engine::{self, SolvabilityMemo, TaskKernel};
 use crate::probability::{check_mc_args, Estimate, McStats, SampleKernel};
 
-/// Bit-sliced Monte-Carlo `Pr[S(t) | α]`: bit-identical to
-/// [`monte_carlo_parallel`](crate::probability::monte_carlo_parallel)
-/// with the same `(seed, samples)` — for any `threads` on either side —
-/// at a fraction of the cost (see the module docs).
-///
-/// # Panics
-///
-/// Same conditions as
-/// [`monte_carlo_parallel`](crate::probability::monte_carlo_parallel).
-pub fn monte_carlo_bitsliced<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> Estimate
-where
-    T: Task + Sync + ?Sized,
-{
-    monte_carlo_bitsliced_with_stats(model, task, alpha, t, samples, seed, threads).0
-}
-
-/// [`monte_carlo_bitsliced`] exposing the verdict-path statistics
-/// (summed across workers).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_bitsliced`].
-pub fn monte_carlo_bitsliced_with_stats<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> (Estimate, McStats)
-where
-    T: Task + Sync + ?Sized,
-{
-    assert!(threads >= 1, "need at least one thread");
-    check_mc_args(model, alpha, t, samples);
-    let (chunks, stats) = fold_lane_chunks(
-        model,
-        task,
-        alpha,
-        t,
-        samples,
-        seed,
-        threads,
-        None,
-        || 0u64,
-        |solved: &mut u64, _first, count| *solved += u64::from(count),
-    );
-    (Estimate::from_counts(chunks.iter().sum(), samples), stats)
-}
-
-/// [`monte_carlo_bitsliced`] under a [`FaultSpec`]: lane `l` of word `w`
-/// is still sample `w·64 + l`, draws its source words from the identical
-/// unsalted stream, and compiles its per-sample [`FaultSchedule`] from
-/// the salted fault substream — the 64 schedules of a word become
-/// per-round **silence lane words** (bit `l` = lane `l`'s node silent
-/// this round) fed to
-/// [`LaneStepper::step_faulted`](rsbt_sim::LaneStepper::step_faulted).
-/// Faulted lanes track every node as its own unit (silence is
-/// per-node), so the plan compiles over the identity unit layout;
-/// estimates are bit-identical to
-/// [`monte_carlo_parallel_faulted`](crate::probability::monte_carlo_parallel_faulted)
-/// for any thread count, and with a rate-zero spec bit-identical to the
-/// fault-free kernels (asserted by tests).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_bitsliced`].
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_bitsliced_faulted<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-    faults: &FaultSpec,
-) -> Estimate
-where
-    T: Task + Sync + ?Sized,
-{
-    monte_carlo_bitsliced_faulted_with_stats(model, task, alpha, t, samples, seed, threads, faults)
-        .0
-}
-
-/// [`monte_carlo_bitsliced_faulted`] exposing the verdict-path
-/// statistics (summed across workers).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_bitsliced`].
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_bitsliced_faulted_with_stats<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-    faults: &FaultSpec,
-) -> (Estimate, McStats)
-where
-    T: Task + Sync + ?Sized,
-{
-    assert!(threads >= 1, "need at least one thread");
-    check_mc_args(model, alpha, t, samples);
-    let (chunks, stats) = fold_lane_chunks(
-        model,
-        task,
-        alpha,
-        t,
-        samples,
-        seed,
-        threads,
-        Some(faults),
-        || 0u64,
-        |solved: &mut u64, _first, count| *solved += u64::from(count),
-    );
-    (Estimate::from_counts(chunks.iter().sum(), samples), stats)
-}
-
-/// Bit-sliced `p̂(1), …, p̂(t_max)` from one sampling pass: bit-identical
-/// to
+/// Bit-sliced `p̂(1), …, p̂(t_max)` from one sampling pass, with the
+/// verdict-path statistics (summed across workers): bit-identical to
 /// [`monte_carlo_series_parallel`](crate::probability::monte_carlo_series_parallel)
-/// with the same `(seed, samples)`, for any thread count.
+/// with the same `(seed, samples)` — for any `threads` on either side —
+/// at a fraction of the cost (see the module docs). The point estimate
+/// at `t` is `series[t − 1]`, bit-identical to
+/// [`monte_carlo_parallel`](crate::probability::monte_carlo_parallel)
+/// at `t`.
 ///
 /// # Panics
 ///
 /// Same conditions as
 /// [`monte_carlo_series_parallel`](crate::probability::monte_carlo_series_parallel).
-pub fn monte_carlo_bitsliced_series<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<Estimate>
-where
-    T: Task + Sync + ?Sized,
-{
-    monte_carlo_bitsliced_series_with_stats(model, task, alpha, t_max, samples, seed, threads).0
-}
-
-/// [`monte_carlo_bitsliced_series`] exposing the verdict-path statistics.
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_bitsliced_series`].
 pub fn monte_carlo_bitsliced_series_with_stats<T>(
     model: &Model,
     task: &T,
@@ -219,64 +72,31 @@ pub fn monte_carlo_bitsliced_series_with_stats<T>(
 where
     T: Task + Sync + ?Sized,
 {
-    assert!(threads >= 1, "need at least one thread");
-    assert!(t_max >= 1, "need at least one round");
-    check_mc_args(model, alpha, t_max, samples);
-    // first_solved[r] = samples whose first solving round is exactly
-    // r + 1 (round 0 counts as round 1, matching the scalar series).
-    let (chunks, stats) = fold_lane_chunks(
-        model,
-        task,
-        alpha,
-        t_max,
-        samples,
-        seed,
-        threads,
-        None,
-        || vec![0u64; t_max],
-        |first_solved: &mut Vec<u64>, first, count| {
-            first_solved[first.saturating_sub(1)] += u64::from(count);
-        },
-    );
-    prefix_sum_series(&chunks, t_max, samples, stats)
+    lane_series(model, task, alpha, t_max, samples, seed, threads, None)
 }
 
-/// [`monte_carlo_bitsliced_series`] under a [`FaultSpec`] (see
-/// [`monte_carlo_bitsliced_faulted`] for the lane discipline): the whole
-/// degradation curve `p̂(1), …, p̂(t_max)` from one faulted sampling
-/// pass. Sample `i`'s schedule is compiled once at horizon `t_max` and
-/// every prefix time reads the same silence pattern — common random
-/// numbers *and* common faults across the series.
+/// [`monte_carlo_bitsliced_series_with_stats`] under a [`FaultSpec`]:
+/// lane `l` of word `w` is still sample `w·64 + l`, draws its source
+/// words from the identical unsalted stream, and compiles its per-sample
+/// [`FaultSchedule`] from the salted fault substream — the 64 schedules
+/// of a word become per-round **silence lane words** (bit `l` = lane
+/// `l`'s node silent this round) fed to
+/// [`LaneStepper::step_faulted`](rsbt_sim::LaneStepper::step_faulted).
+/// Faulted lanes track every node as its own unit (silence is
+/// per-node), so the plan compiles over the identity unit layout.
+///
+/// Sample `i`'s schedule is compiled once at horizon `t_max` and every
+/// prefix time reads the same silence pattern — common random numbers
+/// *and* common faults across the series. So the tail `series[t_max − 1]`
+/// is bit-identical to
+/// [`monte_carlo_parallel_faulted`](crate::probability::monte_carlo_parallel_faulted)
+/// at `t_max` for any thread count, while interior points are
+/// distributionally `p̂(t)`; with a rate-zero spec the whole series is
+/// bit-identical to the fault-free kernel (asserted by tests).
 ///
 /// # Panics
 ///
-/// Same conditions as [`monte_carlo_bitsliced_series`].
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_bitsliced_series_faulted<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-    faults: &FaultSpec,
-) -> Vec<Estimate>
-where
-    T: Task + Sync + ?Sized,
-{
-    monte_carlo_bitsliced_series_faulted_with_stats(
-        model, task, alpha, t_max, samples, seed, threads, faults,
-    )
-    .0
-}
-
-/// [`monte_carlo_bitsliced_series_faulted`] exposing the verdict-path
-/// statistics.
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_bitsliced_series`].
+/// Same conditions as [`monte_carlo_bitsliced_series_with_stats`].
 #[allow(clippy::too_many_arguments)]
 pub fn monte_carlo_bitsliced_series_faulted_with_stats<T>(
     model: &Model,
@@ -291,10 +111,7 @@ pub fn monte_carlo_bitsliced_series_faulted_with_stats<T>(
 where
     T: Task + Sync + ?Sized,
 {
-    assert!(threads >= 1, "need at least one thread");
-    assert!(t_max >= 1, "need at least one round");
-    check_mc_args(model, alpha, t_max, samples);
-    let (chunks, stats) = fold_lane_chunks(
+    lane_series(
         model,
         task,
         alpha,
@@ -303,64 +120,32 @@ where
         seed,
         threads,
         Some(faults),
-        || vec![0u64; t_max],
-        |first_solved: &mut Vec<u64>, first, count| {
-            first_solved[first.saturating_sub(1)] += u64::from(count);
-        },
-    );
-    prefix_sum_series(&chunks, t_max, samples, stats)
-}
-
-/// Merges per-chunk first-solving-round tallies into the cumulative
-/// estimate series (shared by the fault-free and faulted series entry
-/// points).
-fn prefix_sum_series(
-    chunks: &[Vec<u64>],
-    t_max: usize,
-    samples: usize,
-    stats: McStats,
-) -> (Vec<Estimate>, McStats) {
-    let mut first_solved = vec![0u64; t_max];
-    for chunk in chunks {
-        for (acc, c) in first_solved.iter_mut().zip(chunk) {
-            *acc += c;
-        }
-    }
-    let mut solved = 0u64;
-    let series = first_solved
-        .iter()
-        .map(|&c| {
-            solved += c;
-            Estimate::from_counts(solved, samples)
-        })
-        .collect();
-    (series, stats)
+    )
 }
 
 /// The one sharded lane loop both bit-sliced estimators run on: per
 /// word-aligned chunk, either the compiled-plan path or the scalar peel,
-/// tallying `(first_solving_round, lane count)` pairs into a per-chunk
-/// accumulator. Mirrors the scalar `fold_sample_chunks` so the two
-/// entry-point families cannot drift apart structurally.
+/// tallying `first_solved[r]` — the samples whose first solving round is
+/// exactly `r + 1` (round 0 counts as round 1, matching the scalar
+/// series) — then merging the chunks and prefix-summing them into the
+/// cumulative estimate series.
 #[allow(clippy::too_many_arguments)]
-fn fold_lane_chunks<T, A, I, F>(
+fn lane_series<T>(
     model: &Model,
     task: &T,
     alpha: &Assignment,
-    t: usize,
+    t_max: usize,
     samples: usize,
     seed: u64,
     threads: usize,
     faults: Option<&FaultSpec>,
-    init: I,
-    tally: F,
-) -> (Vec<A>, McStats)
+) -> (Vec<Estimate>, McStats)
 where
     T: Task + Sync + ?Sized,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize, u32) + Sync,
 {
+    assert!(threads >= 1, "need at least one thread");
+    assert!(t_max >= 1, "need at least one round");
+    check_mc_args(model, alpha, t_max, samples);
     // Compile once per run: the unit layout is a pure function of
     // (model, alpha) — and of whether faults are in play: silence is
     // per-node, so the faulted stepper tracks every node as its own
@@ -377,14 +162,29 @@ where
         engine::fallback_table(task, alpha.n())
     };
     let per_chunk = pool::map_sample_chunks_aligned(samples, threads, 64, |arena, range| {
-        let mut acc = init();
+        let mut first_solved = vec![0u64; t_max];
         let mut stats = McStats::default();
         match (plan.as_ref(), faults) {
             (Some(plan), None) => run_plan_words(
-                model, alpha, plan, t, seed, &range, &mut acc, &tally, &mut stats,
+                model,
+                alpha,
+                plan,
+                t_max,
+                seed,
+                &range,
+                &mut first_solved,
+                &mut stats,
             ),
             (Some(plan), Some(spec)) => run_plan_words_faulted(
-                model, alpha, plan, t, seed, spec, &range, &mut acc, &tally, &mut stats,
+                model,
+                alpha,
+                plan,
+                t_max,
+                seed,
+                spec,
+                &range,
+                &mut first_solved,
+                &mut stats,
             ),
             (None, _) => {
                 let kernel = match table.as_ref() {
@@ -392,54 +192,61 @@ where
                     None => TaskKernel::closed_form_only(task),
                 };
                 let mut memo = SolvabilityMemo::new();
-                let mut sampler = SampleKernel::new(model, kernel, alpha, t, arena);
-                let mut schedule = FaultSchedule::empty(alpha.n(), t);
+                let mut sampler = SampleKernel::new(model, kernel, alpha, t_max, arena);
+                let mut schedule = FaultSchedule::empty(alpha.n(), t_max);
                 for i in range.clone() {
                     let mut rng = StreamRng::new(seed, i as u64);
                     let first = match faults {
                         None => sampler.first_solving_round(&mut rng, &mut memo, arena),
                         Some(spec) => {
-                            spec.fill_schedule(alpha.n(), t, seed, i as u64, &mut schedule);
+                            spec.fill_schedule(alpha.n(), t_max, seed, i as u64, &mut schedule);
                             sampler
                                 .first_solving_round_faulted(&mut rng, &schedule, &mut memo, arena)
                         }
                     };
                     if let Some(first) = first {
-                        tally(&mut acc, first, 1);
+                        first_solved[first.saturating_sub(1)] += 1;
                     }
                 }
                 stats.peeled_lanes += range.len() as u64;
                 stats.absorb(&memo);
             }
         }
-        (acc, stats)
+        (first_solved, stats)
     });
-    let mut accs = Vec::with_capacity(per_chunk.len());
+    let mut first_solved = vec![0u64; t_max];
     let mut stats = McStats::default();
-    for (acc, st) in per_chunk {
-        accs.push(acc);
-        stats.merge(&st);
+    for (chunk, st) in &per_chunk {
+        for (acc, c) in first_solved.iter_mut().zip(chunk) {
+            *acc += c;
+        }
+        stats.merge(st);
     }
-    (accs, stats)
+    let mut solved = 0u64;
+    let series = first_solved
+        .iter()
+        .map(|&c| {
+            solved += c;
+            Estimate::from_counts(solved, samples)
+        })
+        .collect();
+    (series, stats)
 }
 
 /// The compiled-plan word loop (see the module docs for the layout and
 /// early-exit argument). `range` is word-aligned: `range.start % 64 == 0`
 /// and only the final word can be partially live.
 #[allow(clippy::too_many_arguments)]
-fn run_plan_words<A, F>(
+fn run_plan_words(
     model: &Model,
     alpha: &Assignment,
     plan: &VerdictPlan,
     t: usize,
     seed: u64,
     range: &std::ops::Range<usize>,
-    acc: &mut A,
-    tally: &F,
+    first_solved: &mut [u64],
     stats: &mut McStats,
-) where
-    F: Fn(&mut A, usize, u32),
-{
+) {
     debug_assert_eq!(range.start % 64, 0, "chunks must be word-aligned");
     let k = alpha.k();
     let mut stepper = LaneStepper::new(model, alpha);
@@ -480,7 +287,7 @@ fn run_plan_words<A, F>(
         // the scalar kernel's `Some(0)` probe.
         let mut solved = plan.eval(stepper.eq_words(), &mut regs) & live_mask;
         if solved != 0 {
-            tally(acc, 0, solved.count_ones());
+            first_solved[0] += u64::from(solved.count_ones());
         }
         for r in 0..t {
             if solved == live_mask {
@@ -489,7 +296,7 @@ fn run_plan_words<A, F>(
             stepper.step(|s| draws[s * 64 + r]);
             let newly = plan.eval(stepper.eq_words(), &mut regs) & live_mask & !solved;
             if newly != 0 {
-                tally(acc, r + 1, newly.count_ones());
+                first_solved[r] += u64::from(newly.count_ones());
                 solved |= newly;
             }
         }
@@ -509,7 +316,7 @@ fn run_plan_words<A, F>(
 /// node's own previous knowledge), so per-lane verdicts stay monotone
 /// in `r`.
 #[allow(clippy::too_many_arguments)]
-fn run_plan_words_faulted<A, F>(
+fn run_plan_words_faulted(
     model: &Model,
     alpha: &Assignment,
     plan: &VerdictPlan,
@@ -517,12 +324,9 @@ fn run_plan_words_faulted<A, F>(
     seed: u64,
     spec: &FaultSpec,
     range: &std::ops::Range<usize>,
-    acc: &mut A,
-    tally: &F,
+    first_solved: &mut [u64],
     stats: &mut McStats,
-) where
-    F: Fn(&mut A, usize, u32),
-{
+) {
     debug_assert_eq!(range.start % 64, 0, "chunks must be word-aligned");
     let k = alpha.k();
     let n = alpha.n();
@@ -570,7 +374,7 @@ fn run_plan_words_faulted<A, F>(
         stats.lane_words += 1;
         let mut solved = plan.eval(stepper.eq_words(), &mut regs) & live_mask;
         if solved != 0 {
-            tally(acc, 0, solved.count_ones());
+            first_solved[0] += u64::from(solved.count_ones());
         }
         for r in 0..t {
             if solved == live_mask {
@@ -579,7 +383,7 @@ fn run_plan_words_faulted<A, F>(
             stepper.step_faulted(|s| draws[s * 64 + r], |i| sil[i * 64 + r]);
             let newly = plan.eval(stepper.eq_words(), &mut regs) & live_mask & !solved;
             if newly != 0 {
-                tally(acc, r + 1, newly.count_ones());
+                first_solved[r] += u64::from(newly.count_ones());
                 solved |= newly;
             }
         }
@@ -614,7 +418,8 @@ mod tests {
     use super::*;
     use crate::output_cache::build_output_table;
     use crate::probability::{
-        monte_carlo_parallel, monte_carlo_parallel_with_stats, monte_carlo_series_parallel,
+        monte_carlo_parallel, monte_carlo_parallel_faulted, monte_carlo_parallel_with_stats,
+        monte_carlo_series_parallel,
     };
     use crate::solvability;
     use rsbt_tasks::{
@@ -684,6 +489,29 @@ mod tests {
         ]
     }
 
+    /// The bit-sliced point estimate at `t` on stream family `SEED`: the
+    /// tail of a series to `t`.
+    fn sliced_point(
+        model: &Model,
+        task: &(dyn Task + Sync),
+        alpha: &Assignment,
+        t: usize,
+        samples: usize,
+        threads: usize,
+        faults: Option<&FaultSpec>,
+    ) -> Estimate {
+        const SEED: u64 = 42;
+        let (series, _) = match faults {
+            None => monte_carlo_bitsliced_series_with_stats(
+                model, task, alpha, t, samples, SEED, threads,
+            ),
+            Some(spec) => monte_carlo_bitsliced_series_faulted_with_stats(
+                model, task, alpha, t, samples, SEED, threads, spec,
+            ),
+        };
+        series[t - 1]
+    }
+
     #[test]
     fn bitsliced_is_bit_identical_to_the_scalar_kernel() {
         for (model, task, alpha, t) in grid() {
@@ -691,15 +519,8 @@ mod tests {
                 let reference =
                     monte_carlo_parallel(&model, task.as_ref(), &alpha, t, samples, 42, 1);
                 for threads in [1usize, 2, 3, 8] {
-                    let sliced = monte_carlo_bitsliced(
-                        &model,
-                        task.as_ref(),
-                        &alpha,
-                        t,
-                        samples,
-                        42,
-                        threads,
-                    );
+                    let sliced =
+                        sliced_point(&model, task.as_ref(), &alpha, t, samples, threads, None);
                     assert_eq!(
                         sliced,
                         reference,
@@ -717,7 +538,7 @@ mod tests {
             let reference =
                 monte_carlo_series_parallel(&model, task.as_ref(), &alpha, t_max, 130, 7, 1);
             for threads in [1usize, 2, 4] {
-                let sliced = monte_carlo_bitsliced_series(
+                let (sliced, _) = monte_carlo_bitsliced_series_with_stats(
                     &model,
                     task.as_ref(),
                     &alpha,
@@ -738,7 +559,6 @@ mod tests {
 
     #[test]
     fn faulted_bitsliced_matches_the_faulted_scalar_kernel() {
-        use crate::probability::monte_carlo_parallel_faulted;
         let specs = [
             FaultSpec::rates(0.05, 0.15),
             FaultSpec::rates(0.0, 0.3),
@@ -758,15 +578,14 @@ mod tests {
                         spec,
                     );
                     for threads in [1usize, 3] {
-                        let sliced = monte_carlo_bitsliced_faulted(
+                        let sliced = sliced_point(
                             &model,
                             task.as_ref(),
                             &alpha,
                             t,
                             samples,
-                            42,
                             threads,
-                            spec,
+                            Some(spec),
                         );
                         assert_eq!(
                             sliced,
@@ -784,12 +603,16 @@ mod tests {
     fn rate_zero_spec_is_bit_identical_to_the_fault_free_kernels() {
         let spec = FaultSpec::none();
         for (model, task, alpha, t) in grid() {
-            let plain = monte_carlo_bitsliced(&model, task.as_ref(), &alpha, t, 200, 11, 2);
-            let faulted =
-                monte_carlo_bitsliced_faulted(&model, task.as_ref(), &alpha, t, 200, 11, 2, &spec);
-            assert_eq!(faulted, plain, "{} {model}", task.name());
-            let series = monte_carlo_bitsliced_series(&model, task.as_ref(), &alpha, t, 200, 11, 2);
-            let faulted_series = monte_carlo_bitsliced_series_faulted(
+            let (series, plain_stats) = monte_carlo_bitsliced_series_with_stats(
+                &model,
+                task.as_ref(),
+                &alpha,
+                t,
+                200,
+                11,
+                2,
+            );
+            let (faulted_series, faulted_stats) = monte_carlo_bitsliced_series_faulted_with_stats(
                 &model,
                 task.as_ref(),
                 &alpha,
@@ -800,6 +623,12 @@ mod tests {
                 &spec,
             );
             assert_eq!(faulted_series, series, "{} {model} series", task.name());
+            assert_eq!(
+                faulted_stats.lane_words,
+                plain_stats.lane_words,
+                "{} {model}",
+                task.name()
+            );
         }
     }
 
@@ -807,10 +636,10 @@ mod tests {
     fn faulted_series_tail_equals_the_point_estimate_and_stays_monotone() {
         // Schedules are compiled at the series horizon, so interior points
         // are *distributionally* p̂(t) but only the tail is bit-identical
-        // to the point kernel at the same horizon.
+        // to the scalar point kernel at the same horizon.
         let spec = FaultSpec::rates(0.1, 0.2);
         for (model, task, alpha, t_max) in grid() {
-            let series = monte_carlo_bitsliced_series_faulted(
+            let (series, _) = monte_carlo_bitsliced_series_faulted_with_stats(
                 &model,
                 task.as_ref(),
                 &alpha,
@@ -820,7 +649,7 @@ mod tests {
                 2,
                 &spec,
             );
-            let point = monte_carlo_bitsliced_faulted(
+            let point = monte_carlo_parallel_faulted(
                 &model,
                 task.as_ref(),
                 &alpha,
@@ -843,7 +672,7 @@ mod tests {
         // identity unit layout: the faulted kernel must run words, not
         // peel.
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let (_, stats) = monte_carlo_bitsliced_faulted_with_stats(
+        let (_, stats) = monte_carlo_bitsliced_series_faulted_with_stats(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,
@@ -861,7 +690,7 @@ mod tests {
     fn faulted_planless_tasks_peel_to_the_scalar_path() {
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
         let spec = FaultSpec::rates(0.1, 0.2);
-        let (est, stats) = monte_carlo_bitsliced_faulted_with_stats(
+        let (est, stats) = monte_carlo_bitsliced_series_faulted_with_stats(
             &Model::Blackboard,
             &OpaqueLeaderElection,
             &alpha,
@@ -874,25 +703,23 @@ mod tests {
         assert_eq!(stats.peeled_lanes, 100);
         assert_eq!(stats.lane_words, 0);
         // Bit-identical to the plan path on the same underlying task.
-        assert_eq!(
-            est,
-            monte_carlo_bitsliced_faulted(
-                &Model::Blackboard,
-                &LeaderElection,
-                &alpha,
-                4,
-                100,
-                5,
-                3,
-                &spec,
-            )
+        let (want, _) = monte_carlo_bitsliced_series_faulted_with_stats(
+            &Model::Blackboard,
+            &LeaderElection,
+            &alpha,
+            4,
+            100,
+            5,
+            3,
+            &spec,
         );
+        assert_eq!(est, want);
     }
 
     #[test]
     fn lane_word_counters_count_words() {
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let (_, stats) = monte_carlo_bitsliced_with_stats(
+        let (_, stats) = monte_carlo_bitsliced_series_with_stats(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,
@@ -923,7 +750,7 @@ mod tests {
     #[test]
     fn planless_tasks_peel_to_the_scalar_path() {
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let (est, stats) = monte_carlo_bitsliced_with_stats(
+        let (est, stats) = monte_carlo_bitsliced_series_with_stats(
             &Model::Blackboard,
             &OpaqueLeaderElection,
             &alpha,
@@ -946,12 +773,18 @@ mod tests {
             5,
             1,
         );
-        assert_eq!(est, want);
+        assert_eq!(est[3], want);
         assert!(scalar_stats.dense_scan_verdicts > 0);
-        assert_eq!(
-            est,
-            monte_carlo_bitsliced(&Model::Blackboard, &LeaderElection, &alpha, 4, 100, 5, 3)
+        let (plan_path, _) = monte_carlo_bitsliced_series_with_stats(
+            &Model::Blackboard,
+            &LeaderElection,
+            &alpha,
+            4,
+            100,
+            5,
+            3,
         );
+        assert_eq!(est, plan_path);
     }
 
     /// 64 independently randomized node partitions, as both per-lane

@@ -35,11 +35,13 @@
 //!   descendants per deeper depth `d`) without descending — the counts
 //!   are *exactly* those of the exhaustive walk, for every task.
 //!
-//! Parallelism is top-level-subtree sharding: prefixes at a small depth
-//! `D` are split into contiguous ranges (`[`solved_counts_shard`]`), each
-//! worker re-derives its prefix paths (negligible: `2^{k·D} ≈` worker
-//! count) and owns a tree node iff it owns the node's leftmost prefix, so
-//! per-depth tallies sum to the serial traversal's exactly.
+//! The tree splits into top-level subtrees: prefixes at a small depth
+//! `D` form contiguous ranges ([`solved_counts_shard`]), each range
+//! re-derives its prefix paths (negligible: `2^{k·D}` of them) and owns a
+//! tree node iff it owns the node's leftmost prefix, so per-range tallies
+//! sum to the serial traversal's exactly. The production exact path walks
+//! the tree serially, as the `k >` [`crate::engine_dp::MAX_DP_K`]
+//! fallback only.
 //!
 //! This engine is now the **reference path**: the production exact
 //! dispatch runs through the quotient engine ([`crate::engine_dp`]),
@@ -66,7 +68,7 @@ use crate::solvability;
 /// [`Task::solves_partition`]) and, for tasks without one, the dense
 /// [`FacetTable`] of its output complex (the fallback scan). Built once
 /// per run — never per tree node — and assembled from borrowed parts, so
-/// the parallel sharding path shares one table across workers. Tasks
+/// parallel workers share one table. Tasks
 /// with a closed form carry no table at all
 /// ([`TaskKernel::closed_form_only`]): the output complex is never
 /// materialized in any form for them.

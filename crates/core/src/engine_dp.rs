@@ -50,8 +50,9 @@
 //! counts are bit-identical for every thread count.
 //!
 //! Production dispatch: [`crate::probability::exact`],
-//! [`crate::probability::exact_series`] and their faulted/parallel
-//! variants route here (the tree engine stays as the reference path).
+//! [`crate::probability::exact_series`] and their faulted and cached
+//! variants route here for `k ≤` [`MAX_DP_K`] (the tree engine stays as
+//! the `k >` [`MAX_DP_K`] fallback and the reference path).
 
 use rsbt_random::Assignment;
 use rsbt_sim::lanes::{self, pair_index};
@@ -108,34 +109,22 @@ pub struct DpStats {
     pub dense_scan_verdicts: u64,
 }
 
-/// Per-depth solved-node tallies from one DP sweep — the quotient twin of
-/// [`engine::solved_counts`], widened to `u128`: `counts[d − 1]` is the
-/// number of depth-`d` execution-tree nodes (time-`d` realizations) that
-/// solve `task`, for `d ∈ 1..=t_max`, so `p(d) = counts[d − 1]/2^{k·d}`.
-/// Bit-identical to the tree engine across its whole reachable range
-/// (property-tested and bench-asserted).
+/// Per-depth solved-node tallies from one DP sweep, with the sweep's
+/// [`DpStats`] — the quotient twin of [`engine::solved_counts`], widened
+/// to `u128`: `counts[d − 1]` is the number of depth-`d` execution-tree
+/// nodes (time-`d` realizations) that solve `task`, for `d ∈ 1..=t_max`,
+/// so `p(d) = counts[d − 1]/2^{k·d}`. Bit-identical to the tree engine
+/// across its whole reachable range (property-tested and bench-asserted).
+///
+/// Rounds whose frontier has enough missing transition rows compute them
+/// on `threads` workers (interning stays serial and ordered, so counts
+/// are bit-identical for every `threads`); for `k` past the row-cache
+/// bound rows are streamed per round and `threads` is not consulted.
 ///
 /// # Panics
 ///
-/// Panics if `k·t_max >` [`MAX_DP_BITS`], `k >` [`MAX_DP_K`], or on a
-/// model/assignment node mismatch.
-pub fn solved_series<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-) -> Vec<u128> {
-    solved_series_with_stats(model, task, alpha, t_max, 1).0
-}
-
-/// [`solved_series`] with the sweep's [`DpStats`] and a worker-thread
-/// count: rounds whose frontier has at least [`PAR_MIN_STATES`] missing
-/// transition rows compute them on `threads` workers (interning stays
-/// serial and ordered, so counts are bit-identical for every `threads`).
-///
-/// # Panics
-///
-/// Same conditions as [`solved_series`], plus `threads ≥ 1`.
+/// Panics if `k·t_max >` [`MAX_DP_BITS`], `k >` [`MAX_DP_K`], on a
+/// model/assignment node mismatch, or if `threads == 0`.
 pub fn solved_series_with_stats<T: Task + ?Sized>(
     model: &Model,
     task: &T,
@@ -146,31 +135,18 @@ pub fn solved_series_with_stats<T: Task + ?Sized>(
     run(model, task, alpha, t_max, None, threads)
 }
 
-/// [`solved_series`] under a **fixed** [`FaultSchedule`]: the round-`r`
-/// transition meets the state with both the digit's equality pattern and
-/// the schedule's silence pattern at `r` (deterministic per round, so the
-/// DP caches one row per `(state, silence mask)`). The quotient twin of
-/// [`engine::solved_counts_faulted`], and bit-identical to it.
+/// [`solved_series_with_stats`] under a **fixed** [`FaultSchedule`]: the
+/// round-`r` transition meets the state with both the digit's equality
+/// pattern and the schedule's silence pattern at `r` (deterministic per
+/// round, so the DP caches one row per `(state, silence mask)`). The
+/// quotient twin of [`engine::solved_counts_faulted`], and bit-identical
+/// to it.
 ///
 /// # Panics
 ///
-/// Same conditions as [`solved_series`], plus a schedule/assignment node
-/// mismatch and `n ≤ 64` (silence masks are one `u64`).
-pub fn solved_series_faulted<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    faults: &FaultSchedule,
-) -> Vec<u128> {
-    solved_series_faulted_with_stats(model, task, alpha, t_max, faults, 1).0
-}
-
-/// [`solved_series_faulted`] with [`DpStats`] and a worker-thread count.
-///
-/// # Panics
-///
-/// Same conditions as [`solved_series_faulted`], plus `threads ≥ 1`.
+/// Same conditions as [`solved_series_with_stats`], plus a
+/// schedule/assignment node mismatch and `n ≤ 64` (silence masks are one
+/// `u64`).
 pub fn solved_series_faulted_with_stats<T: Task + ?Sized>(
     model: &Model,
     task: &T,
@@ -709,25 +685,67 @@ mod tests {
         ]
     }
 
+    /// One-thread solved counts.
+    fn dp_counts<T: Task + ?Sized>(
+        model: &Model,
+        task: &T,
+        alpha: &Assignment,
+        t_max: usize,
+    ) -> Vec<u128> {
+        solved_series_with_stats(model, task, alpha, t_max, 1).0
+    }
+
+    /// One-thread solved counts under a fixed schedule.
+    fn dp_counts_faulted<T: Task + ?Sized>(
+        model: &Model,
+        task: &T,
+        alpha: &Assignment,
+        t_max: usize,
+        faults: &FaultSchedule,
+    ) -> Vec<u128> {
+        solved_series_faulted_with_stats(model, task, alpha, t_max, faults, 1).0
+    }
+
+    /// Inputs whose `k` exceeds [`ROW_CACHE_MAX_K`], so the DP streams its
+    /// transition rows instead of caching them: `k = 13` and `k = 14` at
+    /// `t = 1` (the tree engine's `2^{k·t}` walk stays cheap there).
+    fn streaming_inputs() -> Vec<Assignment> {
+        let mut fourteen = vec![1usize; 14];
+        fourteen[0] = 2;
+        let inputs = vec![
+            Assignment::private(13),
+            Assignment::from_group_sizes(&fourteen).unwrap(),
+        ];
+        assert!(inputs.iter().all(|a| a.k() > ROW_CACHE_MAX_K));
+        inputs
+    }
+
     #[test]
     fn dp_matches_tree_engine_bit_for_bit() {
-        // DP ≡ `solved_counts` for both models, all profiles n ≤ 4,
-        // t ≤ 3, threads {1, 2, 4, 8}.
-        for n in 1..=4usize {
-            for alpha in Assignment::iter_profiles(n) {
-                for model in models_for(n) {
-                    for task in tasks_for(n) {
-                        let mut arena = KnowledgeArena::new();
-                        let tree =
-                            engine::solved_counts(&model, task.as_ref(), &alpha, 3, &mut arena);
-                        let serial = solved_series(&model, task.as_ref(), &alpha, 3);
-                        let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
-                        assert_eq!(serial, widened, "{model} {alpha} {}", task.name());
-                        for threads in [2usize, 4, 8] {
-                            let (par, _) =
-                                solved_series_with_stats(&model, task.as_ref(), &alpha, 3, threads);
-                            assert_eq!(par, serial, "{model} {alpha} threads={threads}");
-                        }
+        // DP ≡ `solved_counts` for both models, LE and 2-LE: every
+        // profile n ≤ 4 at t = 3 (cached rows, threads {1, 2, 4, 8}), plus
+        // k = 13, 14 at t = 1 (streamed rows).
+        let small = (1..=4usize).flat_map(|n| Assignment::iter_profiles(n).map(|a| (a, 3)));
+        let streaming = streaming_inputs().into_iter().map(|a| (a, 1));
+        for (alpha, t_max) in small.chain(streaming) {
+            let n = alpha.n();
+            for model in models_for(n) {
+                for task in tasks_for(n) {
+                    let mut arena = KnowledgeArena::new();
+                    let tree =
+                        engine::solved_counts(&model, task.as_ref(), &alpha, t_max, &mut arena);
+                    let serial = dp_counts(&model, task.as_ref(), &alpha, t_max);
+                    let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
+                    assert_eq!(serial, widened, "{model} {alpha} {}", task.name());
+                    if alpha.k() > ROW_CACHE_MAX_K {
+                        // Streamed rows are built serially: no thread
+                        // count to vary.
+                        continue;
+                    }
+                    for threads in [2usize, 4, 8] {
+                        let (par, _) =
+                            solved_series_with_stats(&model, task.as_ref(), &alpha, t_max, threads);
+                        assert_eq!(par, serial, "{model} {alpha} threads={threads}");
                     }
                 }
             }
@@ -740,9 +758,9 @@ mod tests {
         // prefix t.
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
         for model in models_for(3) {
-            let series = solved_series(&model, &LeaderElection, &alpha, 5);
+            let series = dp_counts(&model, &LeaderElection, &alpha, 5);
             for t in 1..=5usize {
-                let per_t = solved_series(&model, &LeaderElection, &alpha, t);
+                let per_t = dp_counts(&model, &LeaderElection, &alpha, t);
                 assert_eq!(per_t[..], series[..t], "{model} t={t}");
             }
         }
@@ -848,7 +866,7 @@ mod tests {
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
         let t_max = 4;
         for model in models_for(3) {
-            let absorbing = solved_series(&model, &LeaderElection, &alpha, t_max);
+            let absorbing = dp_counts(&model, &LeaderElection, &alpha, t_max);
             // Reference: expand *every* state, verdict each child.
             let geom = Geometry::new(&model, &alpha, false);
             let kernel = TaskKernel::closed_form_only(&LeaderElection);
@@ -905,34 +923,47 @@ mod tests {
 
     #[test]
     fn faulted_dp_matches_faulted_tree_engine() {
+        // A mixed omission/crash schedule on [1, 2] at t = 3 (cached
+        // rows), and a round-1 crash at k = 13, 14, t = 1 (streamed rows).
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let t_max = 3;
-        let mut sched = FaultSchedule::empty(3, t_max);
+        let mut sched = FaultSchedule::empty(3, 3);
         sched.set_omission(0, 2);
         sched.set_crash(2, 2);
-        for model in models_for(3) {
-            for task in tasks_for(3) {
-                let tree = engine::solved_counts_faulted(
-                    &model,
-                    task.as_ref(),
-                    &alpha,
-                    t_max,
-                    &sched,
-                    &mut KnowledgeArena::new(),
-                );
-                let dp = solved_series_faulted(&model, task.as_ref(), &alpha, t_max, &sched);
-                let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
-                assert_eq!(dp, widened, "{model} {}", task.name());
-                for threads in [2usize, 4] {
-                    let (par, _) = solved_series_faulted_with_stats(
+        let mut inputs = vec![(alpha, 3, sched)];
+        for alpha in streaming_inputs() {
+            let mut crash = FaultSchedule::empty(alpha.n(), 1);
+            crash.set_crash(1, 1);
+            inputs.push((alpha, 1, crash));
+        }
+        for (alpha, t_max, sched) in &inputs {
+            let (t_max, n) = (*t_max, alpha.n());
+            for model in models_for(n) {
+                for task in tasks_for(n) {
+                    let tree = engine::solved_counts_faulted(
                         &model,
                         task.as_ref(),
-                        &alpha,
+                        alpha,
                         t_max,
-                        &sched,
-                        threads,
+                        sched,
+                        &mut KnowledgeArena::new(),
                     );
-                    assert_eq!(par, dp, "{model} threads={threads}");
+                    let dp = dp_counts_faulted(&model, task.as_ref(), alpha, t_max, sched);
+                    let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
+                    assert_eq!(dp, widened, "{model} {alpha} {}", task.name());
+                    if alpha.k() > ROW_CACHE_MAX_K {
+                        continue;
+                    }
+                    for threads in [2usize, 4] {
+                        let (par, _) = solved_series_faulted_with_stats(
+                            &model,
+                            task.as_ref(),
+                            alpha,
+                            t_max,
+                            sched,
+                            threads,
+                        );
+                        assert_eq!(par, dp, "{model} {alpha} threads={threads}");
+                    }
                 }
             }
         }
@@ -946,8 +977,8 @@ mod tests {
         let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
         let sched = FaultSchedule::empty(4, 3);
         for model in models_for(4) {
-            let plain = solved_series(&model, &LeaderElection, &alpha, 3);
-            let faulted = solved_series_faulted(&model, &LeaderElection, &alpha, 3, &sched);
+            let plain = dp_counts(&model, &LeaderElection, &alpha, 3);
+            let faulted = dp_counts_faulted(&model, &LeaderElection, &alpha, 3, &sched);
             assert_eq!(plain, faulted, "{model}");
         }
     }
@@ -959,7 +990,7 @@ mod tests {
         // counts[t−1] = 2^{2t} − 2^t. At t = 63 this is 2^126 − 2^63 —
         // exactly the 126-bit wall, far past u64.
         let alpha = Assignment::private(2);
-        let series = solved_series(&Model::Blackboard, &LeaderElection, &alpha, 63);
+        let series = dp_counts(&Model::Blackboard, &LeaderElection, &alpha, 63);
         for t in 1..=63usize {
             assert_eq!(series[t - 1], (1u128 << (2 * t)) - (1u128 << t), "t={t}");
         }
@@ -970,7 +1001,7 @@ mod tests {
         // n = 1 solves at the root; k = 1, t = 126 exercises
         // `1u128 << 126` — the largest shift the budget admits.
         let alpha = Assignment::private(1);
-        let series = solved_series(&Model::Blackboard, &LeaderElection, &alpha, 126);
+        let series = dp_counts(&Model::Blackboard, &LeaderElection, &alpha, 126);
         assert_eq!(series[0], 2);
         assert_eq!(series[125], 1u128 << 126);
     }
@@ -979,7 +1010,7 @@ mod tests {
     #[should_panic(expected = "dyadic-count budget")]
     fn beyond_126_bits_rejected() {
         let alpha = Assignment::private(2);
-        let _ = solved_series(&Model::Blackboard, &LeaderElection, &alpha, 64);
+        let _ = dp_counts(&Model::Blackboard, &LeaderElection, &alpha, 64);
     }
 
     #[test]

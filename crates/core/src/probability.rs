@@ -29,10 +29,7 @@ use crate::output_cache::OutputComplexCache;
 use crate::solvability;
 
 pub use crate::bitsliced::{
-    monte_carlo_bitsliced, monte_carlo_bitsliced_faulted, monte_carlo_bitsliced_faulted_with_stats,
-    monte_carlo_bitsliced_series, monte_carlo_bitsliced_series_faulted,
     monte_carlo_bitsliced_series_faulted_with_stats, monte_carlo_bitsliced_series_with_stats,
-    monte_carlo_bitsliced_with_stats,
 };
 
 /// Largest `k·t` accepted by the exact entry points: the quotient DP
@@ -78,33 +75,7 @@ pub const TREE_EXACT_BITS: usize = 30;
 /// assert!((p - 0.5).abs() < 1e-12);
 /// ```
 pub fn exact<T: Task + ?Sized>(model: &Model, task: &T, alpha: &Assignment, t: usize) -> f64 {
-    exact_with_arena(model, task, alpha, t, &mut KnowledgeArena::new())
-}
-
-/// [`exact`] with a caller-provided [`KnowledgeArena`].
-///
-/// The arena matters only on the tree-engine fallback path (`k >`
-/// [`engine_dp::MAX_DP_K`]) and at `t = 0`, where interning is
-/// content-addressed and reuse across points skips re-interning shared
-/// knowledge prefixes; the quotient DP path keeps no knowledge ids.
-/// Results are bit-identical either way.
-///
-/// # Panics
-///
-/// Same conditions as [`exact`].
-pub fn exact_with_arena<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    arena: &mut KnowledgeArena,
-) -> f64 {
-    check_budget(model, alpha, t);
-    if t == 0 {
-        return exact_reference(model, task, alpha, 0, arena);
-    }
-    let counts = dispatch_series(model, task, alpha, t, None, 1, arena);
-    counts[t - 1] as f64 / (1u128 << (alpha.k() * t)) as f64
+    exact_point(model, task, alpha, t, None)
 }
 
 /// Exact `Pr[S(t) | α]` under a **fixed** [`FaultSchedule`]: counts the
@@ -116,10 +87,10 @@ pub fn exact_with_arena<T: Task + ?Sized>(
 /// Random fault *rates* are deliberately not accepted here: enumerating
 /// them would weight realizations by fault-pattern probability and break
 /// Lemma B.1's equiprobability — rates belong to the Monte-Carlo
-/// estimators ([`monte_carlo_parallel_faulted`] and the bit-sliced
-/// family). For the solvability-law fine print (where the zero-one
-/// argument survives omission faults and where crashes break it) see
-/// `DESIGN.md` §4.9.
+/// estimators ([`monte_carlo_parallel_faulted`] and
+/// [`monte_carlo_bitsliced_series_faulted_with_stats`]). For the
+/// solvability-law fine print (where the zero-one argument survives
+/// omission faults and where crashes break it) see `DESIGN.md` §4.9.
 ///
 /// # Panics
 ///
@@ -132,28 +103,23 @@ pub fn exact_faulted<T: Task + ?Sized>(
     t: usize,
     faults: &FaultSchedule,
 ) -> f64 {
-    exact_faulted_with_arena(model, task, alpha, t, faults, &mut KnowledgeArena::new())
+    exact_point(model, task, alpha, t, Some(faults))
 }
 
-/// [`exact_faulted`] with a caller-provided [`KnowledgeArena`].
-///
-/// # Panics
-///
-/// Same conditions as [`exact_faulted`].
-pub fn exact_faulted_with_arena<T: Task + ?Sized>(
+/// The shared body of [`exact`] and [`exact_faulted`]. At `t = 0` no
+/// round runs (faults never act) and the all-⊥ partition decides.
+fn exact_point<T: Task + ?Sized>(
     model: &Model,
     task: &T,
     alpha: &Assignment,
     t: usize,
-    faults: &FaultSchedule,
-    arena: &mut KnowledgeArena,
+    faults: Option<&FaultSchedule>,
 ) -> f64 {
     check_budget(model, alpha, t);
     if t == 0 {
-        // No rounds: faults never act, and the all-⊥ partition decides.
-        return exact_reference(model, task, alpha, 0, arena);
+        return exact_reference(model, task, alpha, 0, &mut KnowledgeArena::new());
     }
-    let counts = dispatch_series(model, task, alpha, t, Some(faults), 1, arena);
+    let counts = dispatch_series(model, task, alpha, t, faults);
     counts[t - 1] as f64 / (1u128 << (alpha.k() * t)) as f64
 }
 
@@ -171,29 +137,25 @@ fn check_budget(model: &Model, alpha: &Assignment, t: usize) {
 
 /// The production dispatch behind every `exact*` entry point: solved
 /// counts per depth from the quotient DP engine
-/// ([`engine_dp::solved_series`] and the faulted twin) whenever its
-/// per-state `2^k` digit fan-out is affordable (`k ≤`
+/// ([`engine_dp::solved_series_with_stats`] and the faulted twin, one
+/// thread) whenever its per-state `2^k` digit fan-out is affordable (`k ≤`
 /// [`engine_dp::MAX_DP_K`]), else from the prefix-sharing tree engine —
 /// whose `u64` tallies additionally require `k·t ≤ 62`. The two are
 /// bit-identical on the overlap (property-tested in [`crate::engine_dp`]
-/// and asserted in-process by the `exp_perf_quotient` bench). `arena` is
-/// consulted only on the tree path (the DP keeps no knowledge ids);
-/// `threads` only on the DP path (tree-path parallelism goes through
-/// [`exact_parallel`]'s subtree sharding instead).
+/// and asserted in-process by the `exp_perf_quotient` bench). Only the
+/// tree path interns knowledge, into an arena local to the call.
 fn dispatch_series<T: Task + ?Sized>(
     model: &Model,
     task: &T,
     alpha: &Assignment,
     t_max: usize,
     faults: Option<&FaultSchedule>,
-    threads: usize,
-    arena: &mut KnowledgeArena,
 ) -> Vec<u128> {
     if alpha.k() <= engine_dp::MAX_DP_K {
         return match faults {
-            None => engine_dp::solved_series_with_stats(model, task, alpha, t_max, threads).0,
+            None => engine_dp::solved_series_with_stats(model, task, alpha, t_max, 1).0,
             Some(f) => {
-                engine_dp::solved_series_faulted_with_stats(model, task, alpha, t_max, f, threads).0
+                engine_dp::solved_series_faulted_with_stats(model, task, alpha, t_max, f, 1).0
             }
         };
     }
@@ -205,9 +167,10 @@ fn dispatch_series<T: Task + ?Sized>(
         engine_dp::MAX_DP_K,
         alpha.k() * t_max
     );
+    let mut arena = KnowledgeArena::new();
     let counts = match faults {
-        None => engine::solved_counts(model, task, alpha, t_max, arena),
-        Some(f) => engine::solved_counts_faulted(model, task, alpha, t_max, f, arena),
+        None => engine::solved_counts(model, task, alpha, t_max, &mut arena),
+        Some(f) => engine::solved_counts_faulted(model, task, alpha, t_max, f, &mut arena),
     };
     counts.into_iter().map(u128::from).collect()
 }
@@ -219,7 +182,7 @@ fn dispatch_series<T: Task + ?Sized>(
 /// solvability cost model ([`solvability::solves_reference`] rebuilds the
 /// output complex and scans it per realization, exactly as `solves` did
 /// before the dense/closed-form rewrite). Not used by any production
-/// caller — prefer [`exact`] / [`exact_with_arena`].
+/// caller — prefer [`exact`].
 ///
 /// # Panics
 ///
@@ -264,30 +227,23 @@ pub fn exact_series_reference<T: Task + ?Sized>(
 
 /// The series `p(1), …, p(t_max)` of exact success probabilities.
 ///
-/// A **single** execution-tree traversal produces the whole series: the
-/// engine tallies solved nodes at every depth, so `p(t)` for all `t ≤
-/// t_max` costs one walk of the depth-`t_max` tree instead of one
-/// enumeration per `t`. Results are bit-identical to calling [`exact`]
-/// per `t` (asserted by test).
+/// **One** dispatch to depth `t_max` produces the whole series: the
+/// quotient DP (or, for `k >` [`engine_dp::MAX_DP_K`], the tree engine)
+/// tallies solved mass at every depth on its way down, so the series
+/// costs what its deepest point costs. Results are bit-identical to
+/// calling [`exact`] per `t` (asserted by test).
+///
+/// # Panics
+///
+/// Same conditions as [`exact`], applied at `t_max`.
 pub fn exact_series<T: Task + ?Sized>(
     model: &Model,
     task: &T,
     alpha: &Assignment,
     t_max: usize,
 ) -> Vec<f64> {
-    exact_series_with_arena(model, task, alpha, t_max, &mut KnowledgeArena::new())
-}
-
-/// [`exact_series`] with a caller-provided [`KnowledgeArena`].
-pub fn exact_series_with_arena<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    arena: &mut KnowledgeArena,
-) -> Vec<f64> {
     check_budget(model, alpha, t_max);
-    let counts = dispatch_series(model, task, alpha, t_max, None, 1, arena);
+    let counts = dispatch_series(model, task, alpha, t_max, None);
     counts
         .iter()
         .enumerate()
@@ -307,9 +263,7 @@ pub fn exact_series_with_arena<T: Task + ?Sized>(
 /// a hot sweep hit performs no allocation (the old flat
 /// `(Model, String, Vec<usize>, usize)` tuple key cloned the model and
 /// the source vector — two heap allocations — per lookup, hits included).
-/// The generic [`Cache::peek`] still materializes the task name once
-/// (`Task::name` returns an owned `String`); hot paths precompute the
-/// name and use [`Cache::peek_named`].
+/// Callers compute `task.name()` once per point and pass it in.
 ///
 /// The task name is part of the key, so [`Task::name`] must uniquely
 /// identify the task's output-complex family (all in-tree tasks do; e.g.
@@ -354,19 +308,7 @@ impl Cache {
     }
 
     /// Looks up a point without computing; does not touch hit statistics.
-    pub fn peek<T: Task + ?Sized>(
-        &self,
-        model: &Model,
-        task: &T,
-        alpha: &Assignment,
-        t: usize,
-    ) -> Option<f64> {
-        self.peek_named(model, &task.name(), alpha.sources(), t)
-    }
-
-    /// [`Cache::peek`] with every key component borrowed — the
-    /// allocation-free hot path for sweep engines that computed
-    /// `task.name()` once per point.
+    /// Every key component is borrowed, so a lookup never allocates.
     pub fn peek_named(
         &self,
         model: &Model,
@@ -384,20 +326,8 @@ impl Cache {
     }
 
     /// Inserts a precomputed point (used by parallel sweep engines that
-    /// compute misses out-of-band and merge deterministically).
-    pub fn insert<T: Task + ?Sized>(
-        &mut self,
-        model: &Model,
-        task: &T,
-        alpha: &Assignment,
-        t: usize,
-        p: f64,
-    ) {
-        self.insert_named(model, &task.name(), alpha.sources(), t, p);
-    }
-
-    /// [`Cache::insert`] with borrowed key components; allocates only for
-    /// key components not yet present.
+    /// compute misses out-of-band and merge deterministically); allocates
+    /// only for key components not yet present.
     pub fn insert_named(
         &mut self,
         model: &Model,
@@ -451,8 +381,8 @@ impl Cache {
 }
 
 /// Cached [`exact`]: answers from `cache` when possible, otherwise computes
-/// via [`exact_with_arena`] and memoizes. The cache key is borrowed — no
-/// model or source-vector clone on hits.
+/// via [`exact`] and memoizes. The cache key is borrowed — no model or
+/// source-vector clone on hits.
 ///
 /// # Panics
 ///
@@ -463,28 +393,31 @@ pub fn exact_cached<T: Task + ?Sized>(
     task: &T,
     alpha: &Assignment,
     t: usize,
-    arena: &mut KnowledgeArena,
 ) -> f64 {
     let name = task.name();
     if let Some(p) = cache.lookup_counted(model, &name, alpha.sources(), t) {
         return p;
     }
-    let p = exact_with_arena(model, task, alpha, t, arena);
+    let p = exact(model, task, alpha, t);
     cache.insert_named(model, &name, alpha.sources(), t, p);
     p
 }
 
 /// Cached [`exact_series`]: each prefix `t` is memoized individually, so a
 /// longer series extends a shorter one without recomputing shared
-/// prefixes. Uncached suffixes are filled by **one** engine traversal to
-/// the deepest missing `t`, not one enumeration per missing point.
+/// prefixes. Uncached suffixes are filled by **one** [`exact_series`]
+/// dispatch to the deepest missing `t`, not one computation per missing
+/// point.
+///
+/// # Panics
+///
+/// Same conditions as [`exact_series`].
 pub fn exact_series_cached<T: Task + ?Sized>(
     cache: &mut Cache,
     model: &Model,
     task: &T,
     alpha: &Assignment,
     t_max: usize,
-    arena: &mut KnowledgeArena,
 ) -> Vec<f64> {
     let name = task.name();
     let cached: Vec<Option<f64>> = (1..=t_max)
@@ -492,7 +425,7 @@ pub fn exact_series_cached<T: Task + ?Sized>(
         .collect();
     let deepest_missing = cached.iter().rposition(Option::is_none).map(|i| i + 1);
     let computed = match deepest_missing {
-        Some(need) => exact_series_with_arena(model, task, alpha, need, arena),
+        Some(need) => exact_series(model, task, alpha, need),
         None => Vec::new(),
     };
     cached
@@ -507,87 +440,6 @@ pub fn exact_series_cached<T: Task + ?Sized>(
             }
         })
         .collect()
-}
-
-/// Exact `Pr[S(t) | α]` computed on `threads` OS threads. Produces
-/// bit-identical results to [`exact`] (verified by test); use for the
-/// larger sweeps where single-threaded evaluation dominates wall-clock
-/// time.
-///
-/// On the quotient-DP path (`k ≤` [`engine_dp::MAX_DP_K`]) the threads
-/// build missing transition rows per round
-/// ([`engine_dp::solved_series_with_stats`]); interning stays serial and
-/// ordered, so the counts are independent of `threads`. On the tree
-/// fallback, parallelism is top-level-subtree sharding over the
-/// execution tree: the depth-`D` prefixes (smallest `D` with `2^{k·D} ≥
-/// threads`) are split into contiguous ranges, each worker runs the
-/// prefix-sharing engine on its range with a private arena/memo
-/// ([`engine::solved_counts_shard`]), and the per-shard tallies are
-/// merged in index order via [`pool::map_with_arena`] — integer counts,
-/// so the merged probability is bit-identical to the serial walk.
-///
-/// # Panics
-///
-/// Same conditions as [`exact`], plus `threads ≥ 1`.
-pub fn exact_parallel<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    threads: usize,
-) -> f64
-where
-    T: Task + Sync + ?Sized,
-{
-    assert!(threads >= 1, "need at least one thread");
-    check_budget(model, alpha, t);
-    if t == 0 || threads == 1 {
-        return exact(model, task, alpha, t);
-    }
-    let k = alpha.k();
-    if k <= engine_dp::MAX_DP_K {
-        let (counts, _) = engine_dp::solved_series_with_stats(model, task, alpha, t, threads);
-        return counts[t - 1] as f64 / (1u128 << (k * t)) as f64;
-    }
-    let mut shard_depth = 0;
-    // u128: `check_budget` bounds `k * t` (and so `k * shard_depth`) only
-    // to the 126-bit DP budget, past the 64-bit shift range.
-    while shard_depth < t && (1u128 << (k * shard_depth)) < threads as u128 {
-        shard_depth += 1;
-    }
-    let prefixes: u64 = 1 << (k * shard_depth);
-    let chunk = prefixes.div_ceil(threads as u64);
-    let ranges: Vec<(u64, u64)> = (0..threads as u64)
-        .map(|w| (w * chunk, ((w + 1) * chunk).min(prefixes)))
-        .filter(|(lo, hi)| lo < hi)
-        .collect();
-    // At most one dense table for the run (none when the task's closed
-    // form answers), shared read-only across workers; each worker
-    // assembles its borrowed kernel and owns its memo.
-    let table = engine::fallback_table(task, alpha.n());
-    let shard_counts = pool::map_with_arena(&ranges, threads, |arena, &(lo, hi)| {
-        let kernel = match table.as_ref() {
-            Some(table) => TaskKernel::new(task, table),
-            None => TaskKernel::closed_form_only(task),
-        };
-        let mut memo = SolvabilityMemo::new();
-        engine::solved_counts_shard(
-            model,
-            &kernel,
-            alpha,
-            t,
-            shard_depth,
-            lo,
-            hi,
-            arena,
-            &mut memo,
-        )
-    });
-    let solved: u64 = shard_counts.iter().map(|counts| counts[t - 1]).sum();
-    // u128 like every other tally division: the shard engine's own
-    // `k·t ≤ 62` assert keeps `solved` in u64 range, but the denominator
-    // shift must not be the thing that pins the wall.
-    solved as f64 / (1u128 << (k * t)) as f64
 }
 
 /// The largest sample count the estimators accept: counts above `2^53`
@@ -940,22 +792,6 @@ pub fn monte_carlo<T: Task + ?Sized, R: Rng + ?Sized>(
     samples: usize,
     rng: &mut R,
 ) -> Estimate {
-    monte_carlo_with_stats(model, task, alpha, t, samples, rng).0
-}
-
-/// [`monte_carlo`] exposing the verdict-path statistics.
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo`].
-pub fn monte_carlo_with_stats<T: Task + ?Sized, R: Rng + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    rng: &mut R,
-) -> (Estimate, McStats) {
     check_mc_args(model, alpha, t, samples);
     let table = engine::fallback_table(task, alpha.n());
     let kernel = match table.as_ref() {
@@ -971,9 +807,7 @@ pub fn monte_carlo_with_stats<T: Task + ?Sized, R: Rng + ?Sized>(
             solved += 1;
         }
     }
-    let mut stats = McStats::default();
-    stats.absorb(&memo);
-    (Estimate::from_counts(solved, samples), stats)
+    Estimate::from_counts(solved, samples)
 }
 
 /// The pre-kernel reference path, kept verbatim: one [`Realization`]
@@ -1105,33 +939,10 @@ pub fn monte_carlo_parallel_faulted<T>(
 where
     T: Task + Sync + ?Sized,
 {
-    monte_carlo_parallel_faulted_with_stats(model, task, alpha, t, samples, seed, threads, faults).0
-}
-
-/// [`monte_carlo_parallel_faulted`] exposing the verdict-path statistics
-/// (summed across workers).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_parallel_faulted`].
-#[allow(clippy::too_many_arguments)]
-pub fn monte_carlo_parallel_faulted_with_stats<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-    faults: &FaultSpec,
-) -> (Estimate, McStats)
-where
-    T: Task + Sync + ?Sized,
-{
     assert!(threads >= 1, "need at least one thread");
     check_mc_args(model, alpha, t, samples);
     let table = engine::fallback_table(task, alpha.n());
-    let (solved, stats) = sample_stream_range(
+    let (solved, _) = sample_stream_range(
         model,
         task,
         table.as_ref(),
@@ -1143,7 +954,7 @@ where
         threads,
         Some(faults),
     );
-    (Estimate::from_counts(solved, samples), stats)
+    Estimate::from_counts(solved, samples)
 }
 
 /// The estimated series `p̂(1), …, p̂(t_max)` from **one** sampling pass:
@@ -1174,33 +985,13 @@ pub fn monte_carlo_series_parallel<T>(
 where
     T: Task + Sync + ?Sized,
 {
-    monte_carlo_series_parallel_with_stats(model, task, alpha, t_max, samples, seed, threads).0
-}
-
-/// [`monte_carlo_series_parallel`] exposing the verdict-path statistics.
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_series_parallel`].
-pub fn monte_carlo_series_parallel_with_stats<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> (Vec<Estimate>, McStats)
-where
-    T: Task + Sync + ?Sized,
-{
     assert!(threads >= 1, "need at least one thread");
     assert!(t_max >= 1, "need at least one round");
     check_mc_args(model, alpha, t_max, samples);
     let table = engine::fallback_table(task, alpha.n());
     // first_solved[r] = samples whose first solving round is exactly
     // r + 1 (round 0 counts as round 1: solved before any bits).
-    let (chunks, stats) = fold_sample_chunks(
+    let (chunks, _) = fold_sample_chunks(
         model,
         task,
         table.as_ref(),
@@ -1226,14 +1017,13 @@ where
     }
     // Prefix sums: solved-by-t from first-solved-at-r.
     let mut solved = 0u64;
-    let series = first_solved
+    first_solved
         .iter()
         .map(|&c| {
             solved += c;
             Estimate::from_counts(solved, samples)
         })
-        .collect();
-    (series, stats)
+        .collect()
 }
 
 /// Samples stream indices `[lo, hi)` of the family keyed by `seed` over
@@ -1688,7 +1478,7 @@ mod tests {
                 est.is_consistent_with(p, 4.0),
                 "{model}: MC {est:?} vs exact {p}"
             );
-            let sliced = monte_carlo_bitsliced_faulted(
+            let (sliced, _) = monte_carlo_bitsliced_series_faulted_with_stats(
                 &model,
                 &LeaderElection,
                 &alpha,
@@ -1698,7 +1488,7 @@ mod tests {
                 3,
                 &spec,
             );
-            assert_eq!(sliced, est, "{model}");
+            assert_eq!(sliced[t - 1], est, "{model}");
         }
     }
 
@@ -1893,30 +1683,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        for sizes in [vec![1usize, 2], vec![2, 2], vec![1, 1, 1]] {
-            let alpha = Assignment::from_group_sizes(&sizes).unwrap();
-            for t in 1..=3usize {
-                let seq = exact(&Model::Blackboard, &LeaderElection, &alpha, t);
-                for threads in [1usize, 2, 4] {
-                    let par =
-                        exact_parallel(&Model::Blackboard, &LeaderElection, &alpha, t, threads);
-                    assert_eq!(seq, par, "sizes {sizes:?} t {t} threads {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_message_passing() {
-        let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
-        let model = Model::message_passing_cyclic(4);
-        let seq = exact(&model, &LeaderElection, &alpha, 3);
-        let par = exact_parallel(&model, &LeaderElection, &alpha, 3, 3);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
     #[should_panic(expected = "exceeds exact-enumeration budget")]
     fn exact_budget_guard() {
         // k·t = 32·4 = 128 > MAX_EXACT_BITS = 126.
@@ -1963,11 +1729,12 @@ mod tests {
 
     #[test]
     fn engine_bit_identical_to_reference_all_profiles() {
-        // The prefix-sharing engine must reproduce the leaf-by-leaf
+        // The production dispatch must reproduce the leaf-by-leaf
         // reference bit-for-bit: both models, every profile with n ≤ 4,
-        // t ≤ 3, every thread count — exact, series, and parallel paths.
+        // t ≤ 3 — exact and series paths. Thread-count invariance of the
+        // DP is pinned by `engine_dp`'s `dp_matches_tree_engine_bit_for_bit`.
         let two_le = KLeaderElection::new(2);
-        let tasks: [&(dyn Task + Sync); 2] = [&LeaderElection, &two_le];
+        let tasks: [&dyn Task; 2] = [&LeaderElection, &two_le];
         for n in 2..=4usize {
             let models = [Model::Blackboard, Model::message_passing_cyclic(n)];
             for model in &models {
@@ -1982,14 +1749,6 @@ mod tests {
                             assert_eq!(p.to_bits(), q.to_bits(), "{model} {alpha} series t={t}");
                             let single = exact(model, task, &alpha, t);
                             assert_eq!(single.to_bits(), q.to_bits(), "{model} {alpha} t={t}");
-                            for threads in [1usize, 2, 3, 4, 8] {
-                                let par = exact_parallel(model, task, &alpha, t, threads);
-                                assert_eq!(
-                                    par.to_bits(),
-                                    q.to_bits(),
-                                    "{model} {alpha} t={t} threads={threads}"
-                                );
-                            }
                         }
                     }
                 }
@@ -2021,8 +1780,8 @@ mod tests {
 
     #[test]
     fn shared_arena_series_bit_identical_to_per_t_path() {
-        // The incremental series (one arena for all prefixes) must agree
-        // bit-for-bit with a fresh arena per t, on both models.
+        // The one-dispatch series must agree bit-for-bit with an
+        // independent exact evaluation per t, on both models.
         for model in [Model::Blackboard, Model::message_passing_cyclic(4)] {
             for sizes in [vec![1usize, 3], vec![2, 2], vec![1, 1, 2]] {
                 let alpha = Assignment::from_group_sizes(&sizes).unwrap();
@@ -2042,28 +1801,14 @@ mod tests {
     #[test]
     fn cache_replays_bit_identical_values() {
         let mut cache = Cache::new();
-        let mut arena = KnowledgeArena::new();
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let first = exact_series_cached(
-            &mut cache,
-            &Model::Blackboard,
-            &LeaderElection,
-            &alpha,
-            4,
-            &mut arena,
-        );
+        let first = exact_series_cached(&mut cache, &Model::Blackboard, &LeaderElection, &alpha, 4);
         assert_eq!(cache.misses(), 4);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.len(), 4);
         // A longer series extends the cached prefix: 4 hits + 2 misses.
-        let longer = exact_series_cached(
-            &mut cache,
-            &Model::Blackboard,
-            &LeaderElection,
-            &alpha,
-            6,
-            &mut arena,
-        );
+        let longer =
+            exact_series_cached(&mut cache, &Model::Blackboard, &LeaderElection, &alpha, 6);
         assert_eq!(cache.hits(), 4);
         assert_eq!(cache.misses(), 6);
         assert_eq!(&longer[..4], &first[..]);
@@ -2076,45 +1821,31 @@ mod tests {
     #[test]
     fn cache_key_distinguishes_model_task_and_alpha() {
         let mut cache = Cache::new();
-        let mut arena = KnowledgeArena::new();
         let a12 = Assignment::from_group_sizes(&[1, 2]).unwrap();
         let a111 = Assignment::from_group_sizes(&[1, 1, 1]).unwrap();
         let two = KLeaderElection::new(2);
         let mp = Model::message_passing_cyclic(3);
         let points: Vec<f64> = vec![
-            exact_cached(
-                &mut cache,
-                &Model::Blackboard,
-                &LeaderElection,
-                &a12,
-                2,
-                &mut arena,
-            ),
-            exact_cached(
-                &mut cache,
-                &Model::Blackboard,
-                &LeaderElection,
-                &a111,
-                2,
-                &mut arena,
-            ),
-            exact_cached(&mut cache, &Model::Blackboard, &two, &a111, 2, &mut arena),
-            exact_cached(&mut cache, &mp, &LeaderElection, &a111, 2, &mut arena),
+            exact_cached(&mut cache, &Model::Blackboard, &LeaderElection, &a12, 2),
+            exact_cached(&mut cache, &Model::Blackboard, &LeaderElection, &a111, 2),
+            exact_cached(&mut cache, &Model::Blackboard, &two, &a111, 2),
+            exact_cached(&mut cache, &mp, &LeaderElection, &a111, 2),
         ];
         assert_eq!(cache.len(), 4, "four distinct keys, no collisions");
         assert_eq!(cache.misses(), 4);
         // Replays hit and agree.
         assert_eq!(
-            exact_cached(&mut cache, &mp, &LeaderElection, &a111, 2, &mut arena).to_bits(),
+            exact_cached(&mut cache, &mp, &LeaderElection, &a111, 2).to_bits(),
             points[3].to_bits()
         );
         assert_eq!(cache.hits(), 1);
+        let name = LeaderElection.name();
         assert_eq!(
-            cache.peek(&Model::Blackboard, &LeaderElection, &a12, 2),
+            cache.peek_named(&Model::Blackboard, &name, a12.sources(), 2),
             Some(points[0])
         );
         assert_eq!(
-            cache.peek(&Model::Blackboard, &LeaderElection, &a12, 3),
+            cache.peek_named(&Model::Blackboard, &name, a12.sources(), 3),
             None
         );
     }

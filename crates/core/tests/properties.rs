@@ -202,12 +202,10 @@ proptest! {
             let plain = probability::monte_carlo_parallel(
                 &model, &LeaderElection, &alpha, t, samples, seed, 1,
             );
-            let sliced = probability::monte_carlo_bitsliced(
+            let (series, _) = probability::monte_carlo_bitsliced_series_with_stats(
                 &model, &LeaderElection, &alpha, t, samples, seed, 1,
             );
-            let series = probability::monte_carlo_bitsliced_series(
-                &model, &LeaderElection, &alpha, t, samples, seed, 1,
-            );
+            prop_assert_eq!(series[t - 1], plain, "bitsliced point");
             for threads in [1usize, 2, 3, 8] {
                 prop_assert_eq!(
                     probability::monte_carlo_parallel_faulted(
@@ -217,16 +215,9 @@ proptest! {
                     "scalar threads={}", threads
                 );
                 prop_assert_eq!(
-                    probability::monte_carlo_bitsliced_faulted(
+                    probability::monte_carlo_bitsliced_series_faulted_with_stats(
                         &model, &LeaderElection, &alpha, t, samples, seed, threads, &spec,
-                    ),
-                    sliced,
-                    "bitsliced threads={}", threads
-                );
-                prop_assert_eq!(
-                    probability::monte_carlo_bitsliced_series_faulted(
-                        &model, &LeaderElection, &alpha, t, samples, seed, threads, &spec,
-                    ),
+                    ).0,
                     series.clone(),
                     "series threads={}", threads
                 );
@@ -260,9 +251,9 @@ proptest! {
             );
         }
         prop_assert_eq!(
-            probability::monte_carlo_bitsliced_faulted(
+            probability::monte_carlo_bitsliced_series_faulted_with_stats(
                 &Model::Blackboard, &LeaderElection, &alpha, t, samples, seed, 4, &spec,
-            ),
+            ).0[t - 1],
             reference,
             "bitsliced"
         );

@@ -17,7 +17,7 @@
 //!   simulator ([`rsbt_sim::runner`]), bit-identical to the legacy
 //!   hand-rolled nodes under the same RNG stream;
 //! - [`McBackend`](backend::McBackend) — protocol-level Monte-Carlo
-//!   estimation with per-sample [`StreamRng`](rand::StreamRng) streams
+//!   estimation with per-sample [`StreamRng`](rand::rngs::StreamRng) streams
 //!   and Wilson confidence intervals, thread-count invariant;
 //! - [`SocketBackend`](backend::SocketBackend) — real processes (or
 //!   threads) over local TCP via [`rsbt_sim::net`], with a coordinator

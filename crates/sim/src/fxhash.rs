@@ -1,12 +1,12 @@
 //! A small, vendored Fx-style hasher for the hot interning index.
 //!
-//! The arena's content-addressed index hashes every [`KnowledgeNode`]
-//! (`crate::KnowledgeNode`) on each intern; the standard library's SipHash
-//! is keyed and DoS-resistant but several times slower than needed for
-//! process-local, trusted keys. This module vendors the multiply-rotate
-//! hash popularized by the Firefox/rustc `FxHasher` — no dependency, no
-//! network, deterministic within a process — for use wherever a `HashMap`
-//! sits on an enumeration hot path.
+//! The arena's content-addressed index hashes every
+//! [`KnowledgeNode`](crate::KnowledgeNode) on each intern; the standard
+//! library's SipHash is keyed and DoS-resistant but several times slower
+//! than needed for process-local, trusted keys. This module vendors the
+//! multiply-rotate hash popularized by the Firefox/rustc `FxHasher` — no
+//! dependency, no network, deterministic within a process — for use
+//! wherever a `HashMap` sits on an enumeration hot path.
 //!
 //! Not for adversarial input: the hash is unkeyed and trivially
 //! collidable on purpose-built keys. Every map in this workspace hashes

@@ -3,15 +3,15 @@
 //! Solvability checks need a mutable [`KnowledgeArena`], which makes naive
 //! data-parallelism awkward: arenas cannot be shared across workers without
 //! locking, and locking would serialize the hot interning path. The pattern
-//! proven bit-identical by `probability::exact_parallel` is *per-worker
-//! arenas*: interning is content-addressed, so every worker reconstructs
-//! identical knowledge structure locally and only sends plain results back.
+//! used here is *per-worker arenas*: interning is content-addressed, so
+//! every worker reconstructs identical knowledge structure locally and only
+//! sends plain results back.
 //!
-//! [`map_with_arena`] packages that pattern for sweep engines: items are
-//! split into contiguous chunks (one per worker), each worker folds its
-//! chunk with a private arena, and results are merged back **by item
-//! index** — never by completion order — so the output is deterministic
-//! and independent of thread scheduling.
+//! [`map_with_arena`] packages that pattern: items are split into
+//! contiguous chunks (one per worker), each worker folds its chunk with a
+//! private arena, and results are merged back **by item index** — never
+//! by completion order — so the output is deterministic and independent
+//! of thread scheduling.
 
 use crate::knowledge::KnowledgeArena;
 
