@@ -4,10 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsbt_protocols::matching::CreateMatching;
-use rsbt_protocols::{BlackboardLeaderElection, EuclidLeaderElection};
+use rsbt_protocols::choreo::{BleChoreo, Choreography, EuclidChoreo, MatchingChoreo};
 use rsbt_random::Assignment;
-use rsbt_sim::runner::{run, run_nodes};
 use rsbt_sim::{Model, PortNumbering};
 
 fn bench_blackboard_le(c: &mut Criterion) {
@@ -16,15 +14,7 @@ fn bench_blackboard_le(c: &mut Criterion) {
         let alpha = Assignment::private(n);
         group.bench_with_input(BenchmarkId::new("private", n), &n, |b, _| {
             let mut rng = StdRng::seed_from_u64(n as u64);
-            b.iter(|| {
-                run(
-                    &Model::Blackboard,
-                    &alpha,
-                    512,
-                    BlackboardLeaderElection::new,
-                    &mut rng,
-                )
-            })
+            b.iter(|| BleChoreo.simulate(&Model::Blackboard, &alpha, 512, &mut rng))
         });
     }
     group.finish();
@@ -37,27 +27,10 @@ fn bench_matching(c: &mut Criterion) {
         let id = format!("a{a}_b{b_size}");
         group.bench_function(&id, |bch| {
             let mut rng = StdRng::seed_from_u64(17);
-            let ports = PortNumbering::random(n, &mut rng);
+            let model = Model::MessagePassing(PortNumbering::random(n, &mut rng));
             let alpha = Assignment::private(n);
-            bch.iter(|| {
-                let nodes: Vec<CreateMatching> = (0..n)
-                    .map(|i| {
-                        if i < a {
-                            let b_ports = (a..n).map(|t| ports.port_towards(i, t)).collect();
-                            CreateMatching::new_a(a, b_ports)
-                        } else {
-                            CreateMatching::new_b(a)
-                        }
-                    })
-                    .collect();
-                run_nodes(
-                    &Model::MessagePassing(ports.clone()),
-                    &alpha,
-                    5000,
-                    nodes,
-                    &mut rng,
-                )
-            })
+            let choreo = MatchingChoreo { a, b: b_size };
+            bch.iter(|| choreo.simulate(&model, &alpha, 5000, &mut rng))
         });
     }
     group.finish();
@@ -74,14 +47,8 @@ fn bench_euclid_le(c: &mut Criterion) {
         group.bench_function(&id, |b| {
             let mut rng = StdRng::seed_from_u64(23);
             b.iter(|| {
-                let ports = PortNumbering::random(n, &mut rng);
-                run(
-                    &Model::MessagePassing(ports),
-                    &alpha,
-                    8000,
-                    || EuclidLeaderElection::new(k),
-                    &mut rng,
-                )
+                let model = Model::MessagePassing(PortNumbering::random(n, &mut rng));
+                EuclidChoreo { k }.simulate(&model, &alpha, 8000, &mut rng)
             })
         });
     }

@@ -1,129 +1,23 @@
-//! Blackboard leader election (Theorem 4.1, 'if' direction).
-//!
-//! Every round, each node posts the bit string it has received from its
-//! randomness source so far. At the start of round `r + 1` every node sees
-//! the same multiset of `n` length-`r` strings (the `n − 1` board entries
-//! plus its own). As soon as some string is *unique* in that multiset, all
-//! nodes agree deterministically on the leader: the holder of the
-//! lexicographically smallest unique string. Under a configuration with a
-//! singleton source this happens eventually with probability 1; with no
-//! singleton source, no string is ever unique and the protocol runs
-//! forever — exactly the dichotomy of Theorem 4.1.
-
-use rsbt_sim::net::Wire;
-use rsbt_sim::runner::{Incoming, Outgoing, Protocol, RoundCtx};
-
-use crate::role::Role;
-
-/// The blackboard leader-election protocol.
-///
-/// # Example
-///
-/// ```
-/// use rand::SeedableRng;
-/// use rsbt_protocols::{BlackboardLeaderElection, Role};
-/// use rsbt_random::Assignment;
-/// use rsbt_sim::{runner, Model};
-///
-/// let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let out = runner::run(
-///     &Model::Blackboard,
-///     &alpha,
-///     64,
-///     BlackboardLeaderElection::new,
-///     &mut rng,
-/// );
-/// assert!(out.completed);
-/// let leaders = out.outputs.iter().filter(|o| **o == Some(Role::Leader)).count();
-/// assert_eq!(leaders, 1);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct BlackboardLeaderElection {
-    /// Bits received so far (the string this node posts).
-    history: Vec<bool>,
-    decided: Option<Role>,
-}
-
-impl BlackboardLeaderElection {
-    /// Creates a fresh, undecided node.
-    pub fn new() -> Self {
-        BlackboardLeaderElection::default()
-    }
-}
-
-impl Protocol for BlackboardLeaderElection {
-    type Msg = Vec<bool>;
-    type Output = Role;
-
-    fn round(&mut self, ctx: RoundCtx, incoming: &Incoming<Vec<bool>>) -> Outgoing<Vec<bool>> {
-        if self.decided.is_some() {
-            return Outgoing::Silent;
-        }
-        // The board carries everyone's strings from the previous round;
-        // compare them (plus our own previous string) for uniqueness.
-        if ctx.round > 1 {
-            let board = incoming.board_view().expect("runs on a blackboard");
-            let mine: Vec<bool> = self.history.clone();
-            let mut all: Vec<&Vec<bool>> = board.iter().collect();
-            all.push(&mine);
-            all.sort();
-            // Lexicographically smallest string occurring exactly once.
-            let winner = all
-                .iter()
-                .enumerate()
-                .find(|(i, s)| {
-                    let prev_same = *i > 0 && all[i - 1] == **s;
-                    let next_same = *i + 1 < all.len() && all[i + 1] == **s;
-                    !prev_same && !next_same
-                })
-                .map(|(_, s)| (*s).clone());
-            if let Some(w) = winner {
-                self.decided = Some(if w == mine {
-                    Role::Leader
-                } else {
-                    Role::Follower
-                });
-                return Outgoing::Silent;
-            }
-        } else if ctx.n == 1 {
-            // Alone in the system: trivially the leader.
-            self.decided = Some(Role::Leader);
-            return Outgoing::Silent;
-        }
-        self.history.push(ctx.bit);
-        Outgoing::Post(self.history.clone())
-    }
-
-    fn output(&self) -> Option<Role> {
-        self.decided
-    }
-
-    fn msg_bytes(msg: &Vec<bool>) -> usize {
-        msg.wire_len()
-    }
-}
+//! Tests of the Theorem 4.1 blackboard leader election
+//! ([`BleChoreo`](crate::choreo::BleChoreo)).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsbt_random::Assignment;
-    use rsbt_sim::{runner, Model};
+    use rsbt_sim::runner::RunOutcome;
+    use rsbt_sim::Model;
 
-    use crate::role::leader_count;
+    use crate::choreo::{BleChoreo, Choreography};
+    use crate::role::{leader_count, Role};
 
-    fn elect(sizes: &[usize], seed: u64, max_rounds: usize) -> runner::RunOutcome<Role> {
+    fn elect(sizes: &[usize], seed: u64, max_rounds: usize) -> RunOutcome<Role> {
         let alpha = Assignment::from_group_sizes(sizes).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        runner::run(
-            &Model::Blackboard,
-            &alpha,
-            max_rounds,
-            BlackboardLeaderElection::new,
-            &mut rng,
-        )
+        BleChoreo
+            .simulate(&Model::Blackboard, &alpha, max_rounds, &mut rng)
+            .unwrap()
     }
 
     #[test]

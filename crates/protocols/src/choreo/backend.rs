@@ -12,10 +12,11 @@
 //!   deterministic thread pool, summarized with Wilson intervals. The
 //!   estimate is invariant under the thread count;
 //! * [`SocketBackend`] — real processes: each node is its own OS process
-//!   (or thread, for in-process smoke tests), talking to a coordinator
-//!   over loopback TCP with the [`crate::choreo`] wire format. The
-//!   coordinator draws bits from the same seeded RNG as [`SimBackend`],
-//!   so both backends agree run-for-run on the same seed.
+//!   (or thread, for in-process smoke tests), talking to the
+//!   fault-tolerant coordinator over loopback TCP with the
+//!   [`rsbt_sim::net`] wire format. The coordinator draws bits from the
+//!   same seeded RNG as [`SimBackend`], so both backends agree
+//!   run-for-run on the same seed.
 
 use std::fmt;
 use std::io;
@@ -24,10 +25,10 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use rand::rngs::{StdRng, StreamRng};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rsbt_core::probability::wilson_interval;
 use rsbt_random::Assignment;
-use rsbt_sim::net::{run_coordinator, run_coordinator_ft, run_node, FtConfig, NetError, Wire};
+use rsbt_sim::net::{run_coordinator_ft, run_local, FtConfig, NetError, Wire};
 use rsbt_sim::pool::map_sample_chunks;
 use rsbt_sim::runner::{run_nodes_with, Protocol, RunOutcome, RunStats};
 use rsbt_sim::Model;
@@ -52,6 +53,37 @@ pub trait Choreography {
     /// nodes must run identical code (anonymity); distinct roles (e.g.
     /// matching's side A/B) may differ.
     fn node(&self, index: usize, model: &Model, projection: &Projection) -> Self::Node;
+
+    /// Projects onto `model` and runs once in the lockstep simulator
+    /// ([`run_nodes_with`]), drawing every bit from the caller's `rng`.
+    ///
+    /// # Errors
+    ///
+    /// [`ProjectionError`] when the description is invalid for the model
+    /// or system size.
+    fn simulate<R: Rng + ?Sized>(
+        &self,
+        model: &Model,
+        alpha: &Assignment,
+        max_rounds: usize,
+        rng: &mut R,
+    ) -> Result<RunOutcome<NodeOutput<Self>>, ProjectionError>
+    where
+        Self: Sized,
+    {
+        let projection = self.global().project(model, alpha.n())?;
+        let nodes: Vec<Self::Node> = (0..alpha.n())
+            .map(|i| self.node(i, model, &projection))
+            .collect();
+        Ok(run_nodes_with(
+            model,
+            alpha,
+            max_rounds,
+            nodes,
+            rng,
+            projection.options(),
+        ))
+    }
 }
 
 /// Message type of a choreography's nodes.
@@ -160,6 +192,9 @@ pub enum BackendError {
     Net(NetError),
     /// A worker process could not be spawned.
     Spawn(io::Error),
+    /// A [`KillPlan`] was given to the in-process launcher, whose workers
+    /// share the coordinator's address space and cannot be killed.
+    KillNeedsSpawn,
 }
 
 impl fmt::Display for BackendError {
@@ -168,6 +203,11 @@ impl fmt::Display for BackendError {
             BackendError::Projection(e) => write!(f, "projection failed: {e}"),
             BackendError::Net(e) => write!(f, "socket backend failed: {e}"),
             BackendError::Spawn(e) => write!(f, "could not spawn worker: {e}"),
+            BackendError::KillNeedsSpawn => write!(
+                f,
+                "kill plans require the Spawn launcher: in-process workers \
+                 share the coordinator's address space"
+            ),
         }
     }
 }
@@ -199,7 +239,8 @@ pub trait Backend {
     ///
     /// [`BackendError::Projection`] when the global description is
     /// invalid for the job's model/size; socket backends also report
-    /// [`BackendError::Net`] and [`BackendError::Spawn`].
+    /// [`BackendError::Net`], [`BackendError::Spawn`] and
+    /// [`BackendError::KillNeedsSpawn`].
     fn run<C>(
         &self,
         choreo: &C,
@@ -228,19 +269,8 @@ impl SimBackend {
         choreo: &C,
         job: &RunJob<'_>,
     ) -> Result<RunOutcome<NodeOutput<C>>, ProjectionError> {
-        let projection = choreo.global().project(job.model, job.alpha.n())?;
-        let nodes: Vec<C::Node> = (0..job.alpha.n())
-            .map(|i| choreo.node(i, job.model, &projection))
-            .collect();
         let mut rng = StdRng::seed_from_u64(job.seed);
-        Ok(run_nodes_with(
-            job.model,
-            job.alpha,
-            job.max_rounds,
-            nodes,
-            &mut rng,
-            projection.options(),
-        ))
+        choreo.simulate(job.model, job.alpha, job.max_rounds, &mut rng)
     }
 }
 
@@ -420,7 +450,9 @@ impl fmt::Debug for Launcher {
 /// when the coordinator reaches round `round` (1-based, before that
 /// round's messages are exchanged). Only meaningful with
 /// [`Launcher::Spawn`] — in-process workers share our address space and
-/// cannot be killed without taking the coordinator down.
+/// cannot be killed without taking the coordinator down, so the
+/// in-process launcher refuses a plan with
+/// [`BackendError::KillNeedsSpawn`].
 #[derive(Clone, Copy, Debug)]
 pub struct KillPlan {
     /// Worker index to kill.
@@ -437,13 +469,13 @@ pub struct KillPlan {
 /// [`Protocol::msg_bytes`] is the wire length — on byte counters, for the
 /// same job.
 ///
-/// Spawned workers run under the fault-tolerant coordinator
-/// ([`run_coordinator_ft`]): a worker that dies mid-run is declared
-/// crashed after a bounded retry/backoff and the run degrades to a
-/// partial [`RunOutcome`] (`None` output, `crashed` flag) instead of
-/// failing. With every worker alive the fault-tolerant path draws the
-/// same RNG stream as the strict one, so no-fault runs stay bit-identical
-/// to [`SimBackend`].
+/// Both launchers run under the fault-tolerant coordinator
+/// ([`run_coordinator_ft`]; the in-process one through [`run_local`]): a
+/// worker that dies mid-run is declared crashed after a bounded
+/// retry/backoff and the run degrades to a partial [`RunOutcome`]
+/// (`None` output, `crashed` flag) instead of failing. With every worker
+/// alive the coordinator draws the same RNG stream as the simulator, so
+/// no-fault runs stay bit-identical to [`SimBackend`].
 #[derive(Debug)]
 pub struct SocketBackend {
     /// Per-read deadline (handshake and round barriers).
@@ -480,7 +512,7 @@ impl SocketBackend {
 
     /// Kills worker `node` when the coordinator reaches round `round`
     /// (1-based). Requires [`Launcher::Spawn`]; the in-process launcher
-    /// panics on a kill plan.
+    /// returns [`BackendError::KillNeedsSpawn`].
     #[must_use]
     pub fn with_kill(mut self, node: usize, round: usize) -> Self {
         self.kill = Some(KillPlan { node, round });
@@ -500,43 +532,27 @@ impl SocketBackend {
     {
         let projection = choreo.global().project(job.model, job.alpha.n())?;
         let options = projection.options();
-        let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(NetError::Io)?;
-        let addr = listener.local_addr().map_err(NetError::Io)?;
-        let n = job.alpha.n();
-        let timeout = Some(self.timeout);
         let mut rng = StdRng::seed_from_u64(job.seed);
 
         match &self.launcher {
             Launcher::InProcess => {
-                assert!(
-                    self.kill.is_none(),
-                    "kill plans require the Spawn launcher: in-process workers \
-                     share the coordinator's address space"
-                );
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..n)
-                        .map(|i| {
-                            let node = choreo.node(i, job.model, &projection);
-                            scope.spawn(move || run_node(addr, i, node, timeout))
-                        })
-                        .collect();
-                    let result = run_coordinator::<NodeMsg<C>, NodeOutput<C>, _>(
-                        &listener,
-                        job.model,
-                        job.alpha,
-                        job.max_rounds,
-                        &mut rng,
-                        options,
-                        timeout,
-                    );
-                    for handle in handles {
-                        let _ = handle.join();
-                    }
-                    result.map_err(BackendError::Net)
-                })
+                if self.kill.is_some() {
+                    return Err(BackendError::KillNeedsSpawn);
+                }
+                Ok(run_local(
+                    job.model,
+                    job.alpha,
+                    job.max_rounds,
+                    &mut rng,
+                    options,
+                    self.timeout,
+                    |i| choreo.node(i, job.model, &projection),
+                )?)
             }
             Launcher::Spawn(spawn) => {
-                let addr_str = addr.to_string();
+                let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(NetError::Io)?;
+                let addr_str = listener.local_addr().map_err(NetError::Io)?.to_string();
+                let n = job.alpha.n();
                 let mut children: Vec<Child> = Vec::with_capacity(n);
                 for i in 0..n {
                     let child = spawn(i, &addr_str)

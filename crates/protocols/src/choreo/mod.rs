@@ -14,14 +14,15 @@
 //! ([`backend`]):
 //!
 //! - [`SimBackend`](backend::SimBackend) — the in-process lockstep
-//!   simulator ([`rsbt_sim::runner`]), bit-identical to the legacy
-//!   hand-rolled nodes under the same RNG stream;
+//!   simulator ([`rsbt_sim::runner`]); any caller-owned RNG runs through
+//!   [`Choreography::simulate`];
 //! - [`McBackend`](backend::McBackend) — protocol-level Monte-Carlo
 //!   estimation with per-sample [`StreamRng`](rand::rngs::StreamRng) streams
 //!   and Wilson confidence intervals, thread-count invariant;
 //! - [`SocketBackend`](backend::SocketBackend) — real processes (or
-//!   threads) over local TCP via [`rsbt_sim::net`], with a coordinator
-//!   distributing assignment bits and enforcing round barriers.
+//!   threads) over local TCP via [`rsbt_sim::net`], with the
+//!   fault-tolerant coordinator distributing assignment bits and
+//!   enforcing round barriers.
 //!
 //! [`protocols`] ports all of the paper's protocols onto this layer.
 

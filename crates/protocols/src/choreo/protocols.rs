@@ -1,13 +1,12 @@
 //! The paper's protocols as choreographies: global descriptions plus
 //! projected role implementations.
 //!
-//! Each protocol here is a port of the corresponding hand-rolled node in
-//! the crate root onto the choreography layer: the *logic* is identical
-//! round for round (the equivalence test suite pins bit-identical
-//! [`RunOutcome`](rsbt_sim::runner::RunOutcome)s under a shared RNG
-//! stream), but the send/receive discipline is now declared once in a
-//! [`GlobalProtocol`] and enforced by the projected machines instead of
-//! living implicitly in each `round()` body.
+//! Each protocol's send/receive discipline is declared once in a
+//! [`GlobalProtocol`] and enforced by the projected machines; the role
+//! types hold only the per-round logic. The golden-transcript suite
+//! (`tests/equivalence.rs`) pins every protocol's
+//! [`RunOutcome`](rsbt_sim::runner::RunOutcome)s — outputs, rounds and
+//! counters — over exhaustive realization grids.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -50,11 +49,33 @@ fn board_election_global(name: &'static str) -> GlobalProtocol {
     }
 }
 
+/// Sizes of the equality classes among the posted strings plus `mine`, in
+/// lexicographic string order, and the index of `mine`'s class. Every
+/// node computes the same classes: the board plus its own string is the
+/// same multiset everywhere.
+fn string_classes(board: &[Vec<bool>], mine: &[bool]) -> (Vec<usize>, usize) {
+    let mut all: Vec<&[bool]> = board.iter().map(Vec::as_slice).collect();
+    all.push(mine);
+    all.sort();
+    let mut sizes: Vec<usize> = Vec::new();
+    let mut own = 0;
+    for (i, s) in all.iter().enumerate() {
+        match sizes.last_mut() {
+            Some(size) if all[i - 1] == *s => *size += 1,
+            _ => sizes.push(1),
+        }
+        if *s == mine {
+            own = sizes.len() - 1;
+        }
+    }
+    (sizes, own)
+}
+
 // ---------------------------------------------------------------------------
 // Blackboard leader election (Theorem 4.1)
 // ---------------------------------------------------------------------------
 
-/// Projected role of [`crate::BlackboardLeaderElection`].
+/// Projected role of [`BleChoreo`].
 #[derive(Clone, Debug, Default)]
 pub struct BleRole {
     history: Vec<bool>,
@@ -67,22 +88,10 @@ impl BoardRole for BleRole {
 
     fn step(&mut self, ctx: RoundCtx, board: BoardView<'_, Vec<bool>>) -> BoardAction<Vec<bool>> {
         if ctx.round > 1 {
-            let mine: Vec<bool> = self.history.clone();
-            let mut all: Vec<&Vec<bool>> = board.iter().collect();
-            all.push(&mine);
-            all.sort();
+            let (sizes, own) = string_classes(&board, &self.history);
             // Lexicographically smallest string occurring exactly once.
-            let winner = all
-                .iter()
-                .enumerate()
-                .find(|(i, s)| {
-                    let prev_same = *i > 0 && all[i - 1] == **s;
-                    let next_same = *i + 1 < all.len() && all[i + 1] == **s;
-                    !prev_same && !next_same
-                })
-                .map(|(_, s)| (*s).clone());
-            if let Some(w) = winner {
-                self.decided = Some(if w == mine {
+            if let Some(winner) = sizes.iter().position(|&size| size == 1) {
+                self.decided = Some(if winner == own {
                     Role::Leader
                 } else {
                     Role::Follower
@@ -106,7 +115,33 @@ impl BoardRole for BleRole {
     }
 }
 
-/// Blackboard leader election as a choreography.
+/// Blackboard leader election (Theorem 4.1, 'if' direction).
+///
+/// Every round, each node posts the bit string it has received from its
+/// randomness source so far. At the start of round `r + 1` every node
+/// sees the same multiset of `n` length-`r` strings. As soon as some
+/// string is *unique* in it, all nodes agree on the leader: the holder of
+/// the lexicographically smallest unique string. With a singleton source
+/// this happens eventually with probability 1; with none, no string is
+/// ever unique and the protocol runs forever — the dichotomy of
+/// Theorem 4.1.
+///
+/// # Example
+///
+/// ```
+/// use rand::SeedableRng;
+/// use rsbt_protocols::choreo::{BleChoreo, Choreography};
+/// use rsbt_protocols::{leader_count, Role};
+/// use rsbt_random::Assignment;
+/// use rsbt_sim::Model;
+///
+/// let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+/// let out = BleChoreo.simulate(&Model::Blackboard, &alpha, 64, &mut rng).unwrap();
+/// assert!(out.completed);
+/// assert_eq!(leader_count(&out.outputs), 1);
+/// assert_eq!(out.outputs[0], Some(Role::Leader));
+/// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BleChoreo;
 
@@ -130,7 +165,7 @@ impl Choreography for BleChoreo {
 // Blackboard k-leader election
 // ---------------------------------------------------------------------------
 
-/// Projected role of [`crate::KLeaderBlackboard`].
+/// Projected role of [`KLeaderChoreo`].
 #[derive(Clone, Debug)]
 pub struct KLeaderRole {
     k: usize,
@@ -149,7 +184,9 @@ impl KLeaderRole {
         }
     }
 
-    fn choose_classes(sizes: &[usize], k: usize) -> Option<Vec<usize>> {
+    /// The lexicographically first set of equality classes (given by
+    /// their sizes, in string order) whose sizes sum to `k`.
+    pub(crate) fn choose_classes(sizes: &[usize], k: usize) -> Option<Vec<usize>> {
         fn rec(sizes: &[usize], k: usize, from: usize, chosen: &mut Vec<usize>) -> bool {
             if k == 0 {
                 return true;
@@ -176,27 +213,9 @@ impl BoardRole for KLeaderRole {
 
     fn step(&mut self, ctx: RoundCtx, board: BoardView<'_, Vec<bool>>) -> BoardAction<Vec<bool>> {
         if ctx.round > 1 {
-            let mine = self.history.clone();
-            let mut all: Vec<&Vec<bool>> = board.iter().collect();
-            all.push(&mine);
-            all.sort();
-            let mut reps: Vec<&Vec<bool>> = Vec::new();
-            let mut sizes: Vec<usize> = Vec::new();
-            for s in &all {
-                match reps.last() {
-                    Some(last) if *last == *s => *sizes.last_mut().expect("non-empty") += 1,
-                    _ => {
-                        reps.push(s);
-                        sizes.push(1);
-                    }
-                }
-            }
+            let (sizes, own) = string_classes(&board, &self.history);
             if let Some(chosen) = KLeaderRole::choose_classes(&sizes, self.k) {
-                let my_class = reps
-                    .iter()
-                    .position(|r| **r == mine)
-                    .expect("own string present");
-                self.decided = Some(if chosen.contains(&my_class) {
+                self.decided = Some(if chosen.contains(&own) {
                     Role::Leader
                 } else {
                     Role::Follower
@@ -220,7 +239,13 @@ impl BoardRole for KLeaderRole {
     }
 }
 
-/// Blackboard exactly-`k`-leaders election as a choreography.
+/// Blackboard exactly-`k`-leaders election.
+///
+/// Generalizes [`BleChoreo`]: all nodes see the same partition of the
+/// posted strings into equality classes, and as soon as some classes'
+/// sizes sum to exactly `k`, the lexicographically first such collection
+/// leads. Solvable eventually iff the group sizes admit classes summing
+/// to `k` (for `k = 2`: a source of size 2 or two singleton sources).
 #[derive(Clone, Copy, Debug)]
 pub struct KLeaderChoreo {
     /// Number of leaders to elect.
@@ -247,7 +272,7 @@ impl Choreography for KLeaderChoreo {
 // Blackboard weak symmetry breaking
 // ---------------------------------------------------------------------------
 
-/// Projected role of [`crate::WeakSymmetryBreakingBlackboard`].
+/// Projected role of [`WsbChoreo`].
 #[derive(Clone, Debug, Default)]
 pub struct WsbRole {
     history: Vec<bool>,
@@ -281,7 +306,11 @@ impl BoardRole for WsbRole {
     }
 }
 
-/// Blackboard weak symmetry breaking as a choreography.
+/// Blackboard weak symmetry breaking: output bits, not all equal.
+///
+/// As soon as two distinct strings are on the board, the holders of the
+/// lexicographically smallest one output `0` and everyone else `1`.
+/// Solvable eventually iff there are at least two sources.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WsbChoreo;
 
@@ -305,7 +334,7 @@ impl Choreography for WsbChoreo {
 // Blackboard leader-and-deputy election
 // ---------------------------------------------------------------------------
 
-/// Projected role of [`crate::LeaderAndDeputyBlackboard`].
+/// Projected role of [`DeputyChoreo`].
 #[derive(Clone, Debug, Default)]
 pub struct DeputyElectRole {
     history: Vec<bool>,
@@ -318,24 +347,13 @@ impl BoardRole for DeputyElectRole {
 
     fn step(&mut self, ctx: RoundCtx, board: BoardView<'_, Vec<bool>>) -> BoardAction<Vec<bool>> {
         if ctx.round > 1 {
-            let mine = self.history.clone();
-            let mut all: Vec<&Vec<bool>> = board.iter().collect();
-            all.push(&mine);
-            all.sort();
-            let uniques: Vec<&Vec<bool>> = all
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| {
-                    let prev_same = *i > 0 && all[i - 1] == **s;
-                    let next_same = *i + 1 < all.len() && all[i + 1] == **s;
-                    !prev_same && !next_same
-                })
-                .map(|(_, s)| *s)
-                .collect();
+            let (sizes, own) = string_classes(&board, &self.history);
+            // The two lexicographically smallest unique strings.
+            let uniques: Vec<usize> = (0..sizes.len()).filter(|&c| sizes[c] == 1).collect();
             if uniques.len() >= 2 {
-                self.decided = Some(if mine == *uniques[0] {
+                self.decided = Some(if own == uniques[0] {
                     DeputyRole::Leader
-                } else if mine == *uniques[1] {
+                } else if own == uniques[1] {
                     DeputyRole::Deputy
                 } else {
                     DeputyRole::Follower
@@ -356,7 +374,13 @@ impl BoardRole for DeputyElectRole {
     }
 }
 
-/// Blackboard leader-and-deputy election as a choreography.
+/// Blackboard leader-and-deputy election — the algorithmic side of the
+/// paper's Section 5 future-work example (unconstrained roles).
+///
+/// Decides once the board holds **two distinct unique strings**: their
+/// holders become leader (smaller string) and deputy (next unique
+/// string), everyone else follows. Solvable eventually iff at least two
+/// sources are singletons — strictly more than Theorem 4.1 needs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeputyChoreo;
 
@@ -376,13 +400,31 @@ impl Choreography for DeputyChoreo {
     }
 }
 
+/// Draws a uniform index below `m` by rejection sampling from the front of
+/// `bits`: consumes `⌈log₂ m⌉` bits (none when `m == 1`) and rejects
+/// values `≥ m`. `None` when too few bits are buffered or on rejection —
+/// the caller retries next iteration.
+pub(crate) fn draw_index(bits: &mut Vec<bool>, m: usize) -> Option<usize> {
+    if m == 1 {
+        return Some(0);
+    }
+    let needed = usize::BITS as usize - (m - 1).leading_zeros() as usize;
+    if bits.len() < needed {
+        return None;
+    }
+    let v = bits
+        .drain(..needed)
+        .fold(0usize, |acc, b| acc << 1 | usize::from(b));
+    (v < m).then_some(v)
+}
+
 // ---------------------------------------------------------------------------
 // Euclid leader election (Theorem 4.2)
 // ---------------------------------------------------------------------------
 
-/// Projected role of [`crate::EuclidLeaderElection`]: discovery phase
-/// (broadcast histories until `k` distinct strings freeze the groups),
-/// then the subtractive Euclid loop of matchings.
+/// Projected role of [`EuclidChoreo`]: discovery phase (broadcast
+/// histories until `k` distinct strings freeze the groups), then the
+/// subtractive Euclid loop of matchings.
 #[derive(Clone, Debug)]
 pub struct EuclidRole {
     k: usize,
@@ -392,7 +434,7 @@ pub struct EuclidRole {
     port_group: Vec<usize>,
     port_active: Vec<bool>,
     self_active: bool,
-    sizes: Vec<usize>,
+    pub(crate) sizes: Vec<usize>,
     pair: Option<(usize, usize)>,
     matched_self: bool,
     matched_a_count: usize,
@@ -421,7 +463,7 @@ impl EuclidRole {
         }
     }
 
-    fn select_pair(&self) -> Option<(usize, usize)> {
+    pub(crate) fn select_pair(&self) -> Option<(usize, usize)> {
         let mut live: Vec<usize> = (0..self.sizes.len())
             .filter(|&g| self.sizes[g] > 0)
             .collect();
@@ -432,7 +474,7 @@ impl EuclidRole {
         }
     }
 
-    fn winner_group(&self) -> Option<usize> {
+    pub(crate) fn winner_group(&self) -> Option<usize> {
         (0..self.sizes.len()).find(|&g| self.sizes[g] == 1)
     }
 
@@ -457,21 +499,6 @@ impl EuclidRole {
         self.matched_self = false;
         self.matched_a_count = 0;
         false
-    }
-
-    fn draw_index(&mut self, m: usize) -> Option<usize> {
-        if m == 1 {
-            return Some(0);
-        }
-        let needed = usize::BITS as usize - (m - 1).leading_zeros() as usize;
-        if self.bit_buffer.len() < needed {
-            return None;
-        }
-        let bits: Vec<bool> = self.bit_buffer.drain(..needed).collect();
-        let v = bits
-            .iter()
-            .fold(0usize, |acc, &b| acc << 1 | usize::from(b));
-        (v < m).then_some(v)
     }
 
     fn active_ports_of_group(&self, g: usize) -> Vec<usize> {
@@ -557,7 +584,7 @@ impl EuclidRole {
                 if self.self_active && self.my_group == ga && !self.matched_self {
                     let targets = self.active_ports_of_group(gb);
                     debug_assert!(!targets.is_empty(), "B side exhausted prematurely");
-                    if let Some(i) = self.draw_index(targets.len()) {
+                    if let Some(i) = draw_index(&mut self.bit_buffer, targets.len()) {
                         return PortAction::Send(vec![(targets[i], EuclidMsg::Req)]);
                     }
                 }
@@ -635,7 +662,38 @@ impl PortRole for EuclidRole {
     }
 }
 
-/// Euclid leader election as a choreography.
+/// Message-passing leader election by imitating Euclid's algorithm
+/// (Theorem 4.2, 'if' direction).
+///
+/// 1. **Discovery** — every node broadcasts its accumulated random string
+///    each round; once `k` distinct strings appear (`k` = number of
+///    sources, common knowledge) everyone agrees on the source groups,
+///    their sizes, and which local port leads into which group.
+/// 2. **Euclid loop** — repeatedly match the two smallest active groups
+///    `A, B` (`|A| ≤ |B|`) with [`MatchingChoreo`]'s procedure and
+///    deactivate the matched `B`-members: `(|A|, |B|) → (|A|, |B| − |A|)`,
+///    the subtractive Euclid step. The gcd of the active sizes is
+///    invariant, so when it is 1 a singleton group eventually appears and
+///    its member leads; otherwise the loop never terminates, matching
+///    the impossibility direction — for *any* port numbering.
+///
+/// # Example
+///
+/// ```
+/// use rand::SeedableRng;
+/// use rsbt_protocols::choreo::{Choreography, EuclidChoreo};
+/// use rsbt_protocols::leader_count;
+/// use rsbt_random::Assignment;
+/// use rsbt_sim::{Model, PortNumbering};
+///
+/// // gcd(2, 3) = 1: solvable under every port numbering.
+/// let alpha = Assignment::from_group_sizes(&[2, 3]).unwrap();
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+/// let model = Model::MessagePassing(PortNumbering::random(5, &mut rng));
+/// let out = EuclidChoreo { k: 2 }.simulate(&model, &alpha, 6000, &mut rng).unwrap();
+/// assert!(out.completed);
+/// assert_eq!(leader_count(&out.outputs), 1);
+/// ```
 #[derive(Clone, Copy, Debug)]
 pub struct EuclidChoreo {
     /// Number of randomness sources (common knowledge).
@@ -689,9 +747,9 @@ enum MatchSide {
     Bystander,
 }
 
-/// Projected role of [`crate::matching::CreateMatching`]. The same state
-/// machine serves all three global roles; the projection assigns each
-/// node the local spec of its side.
+/// Projected role of [`MatchingChoreo`]. The same state machine serves
+/// all three global roles; the projection assigns each node the local
+/// spec of its side.
 #[derive(Clone, Debug)]
 pub struct MatchingRole {
     side: MatchSide,
@@ -704,6 +762,18 @@ pub struct MatchingRole {
 }
 
 impl MatchingRole {
+    fn with_side(side: MatchSide, a_total: usize, active_b_ports: Vec<usize>) -> Self {
+        MatchingRole {
+            side,
+            a_total,
+            active_b_ports,
+            bit_buffer: Vec::new(),
+            matched_self: false,
+            matched_count: 0,
+            decided: None,
+        }
+    }
+
     /// An `A`-side node; `b_ports` are its ports into `B`.
     pub fn new_a(a_total: usize, b_ports: Vec<usize>) -> Self {
         assert!(a_total >= 1, "matching needs a non-empty A side");
@@ -711,56 +781,17 @@ impl MatchingRole {
             b_ports.len() >= a_total,
             "CreateMatching requires |A| ≤ |B|"
         );
-        MatchingRole {
-            side: MatchSide::A,
-            a_total,
-            active_b_ports: b_ports,
-            bit_buffer: Vec::new(),
-            matched_self: false,
-            matched_count: 0,
-            decided: None,
-        }
+        MatchingRole::with_side(MatchSide::A, a_total, b_ports)
     }
 
     /// A `B`-side node.
     pub fn new_b(a_total: usize) -> Self {
-        MatchingRole {
-            side: MatchSide::B,
-            a_total,
-            active_b_ports: Vec::new(),
-            bit_buffer: Vec::new(),
-            matched_self: false,
-            matched_count: 0,
-            decided: None,
-        }
+        MatchingRole::with_side(MatchSide::B, a_total, Vec::new())
     }
 
     /// A node in neither group.
     pub fn bystander(a_total: usize) -> Self {
-        MatchingRole {
-            side: MatchSide::Bystander,
-            a_total,
-            active_b_ports: Vec::new(),
-            bit_buffer: Vec::new(),
-            matched_self: false,
-            matched_count: 0,
-            decided: None,
-        }
-    }
-
-    fn draw_index(&mut self, m: usize) -> Option<usize> {
-        if m == 1 {
-            return Some(0);
-        }
-        let needed = usize::BITS as usize - (m - 1).leading_zeros() as usize;
-        if self.bit_buffer.len() < needed {
-            return None;
-        }
-        let bits: Vec<bool> = self.bit_buffer.drain(..needed).collect();
-        let v = bits
-            .iter()
-            .fold(0usize, |acc, &b| acc << 1 | usize::from(b));
-        (v < m).then_some(v)
+        MatchingRole::with_side(MatchSide::Bystander, a_total, Vec::new())
     }
 
     fn finish(&mut self) {
@@ -794,7 +825,7 @@ impl PortRole for MatchingRole {
                 if self.side == MatchSide::A && !self.matched_self {
                     let m = self.active_b_ports.len();
                     debug_assert!(m > 0, "A-node ran out of active B targets");
-                    if let Some(i) = self.draw_index(m) {
+                    if let Some(i) = draw_index(&mut self.bit_buffer, m) {
                         return PortAction::Send(vec![(self.active_b_ports[i], MatchMsg::Req)]);
                     }
                 }
@@ -857,8 +888,17 @@ impl PortRole for MatchingRole {
     }
 }
 
-/// Algorithm 1 (`CreateMatching`) as a choreography: the first `a` nodes
-/// are side `A`, the next `b` are side `B`, the rest are bystanders.
+/// Algorithm 1 (`CreateMatching`): the first `a` nodes are side `A`, the
+/// next `b` are side `B`, the rest are bystanders.
+///
+/// Every iteration, each unmatched `A`-node sends a request to a uniformly
+/// random active `B`-port; each requested `B`-node acknowledges the
+/// minimal requesting port and announces itself matched; acknowledged
+/// `A`-nodes announce themselves matched. Each iteration matches at least
+/// one pair, so all of `A` is matched within `a` iterations (Lemma 4.8).
+/// Nodes sharing a source draw identical choices, yet the procedure works
+/// because port numbers are local: the same index points different nodes
+/// at different targets.
 #[derive(Clone, Copy, Debug)]
 pub struct MatchingChoreo {
     /// Size of side `A` (`a ≤ b`).
@@ -927,16 +967,16 @@ impl Choreography for MatchingChoreo {
 }
 
 // ---------------------------------------------------------------------------
-// Appendix C reduction (ViaLeader) and consensus
+// Appendix C reduction and consensus
 // ---------------------------------------------------------------------------
 
-/// The centralized solver of the reduction, shareable across threads (the
-/// Monte-Carlo backend builds nodes from worker threads, so unlike the
-/// legacy [`crate::reduction::TableSolver`] this one is `Send + Sync`).
+/// The centralized solver of the reduction: maps the sorted input
+/// multiset to an input-value → output-value table. `Send + Sync`, since
+/// the Monte-Carlo backend builds nodes from worker threads.
 pub type SharedSolver = Arc<dyn Fn(&[u64]) -> BTreeMap<u64, u64> + Send + Sync>;
 
-/// Projected role of [`crate::reduction::ViaLeader`]: run the inner
-/// election, publish inputs, leader publishes the table, decide.
+/// Projected role of [`ReductionChoreo`]: run the inner election, publish
+/// inputs, leader publishes the table, decide.
 pub struct ReductionRole<N: Protocol<Output = Role>> {
     inner: N,
     input: u64,
@@ -1110,8 +1150,12 @@ where
     }
 }
 
-/// The Appendix C reduction as a choreography: any name-independent task
-/// over an inner leader-election choreography.
+/// Theorem C.1: any name-independent task reduces to leader election.
+///
+/// After the inner election decides, every node publishes its input, the
+/// leader publishes the solver's input → output table for the input
+/// multiset, and every node outputs its own input's entry. Publishing the
+/// *table* rather than per-node outputs keeps the reduction anonymous.
 pub struct ReductionChoreo<C: Choreography>
 where
     C::Node: Protocol<Output = Role>,

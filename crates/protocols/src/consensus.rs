@@ -1,33 +1,11 @@
 //! Consensus as a name-independent task, solved via the Appendix C
-//! reduction.
+//! reduction ([`consensus_choreo`](crate::choreo::consensus_choreo)).
 //!
 //! Binary (or multi-valued) consensus — everyone outputs the same value,
 //! which must be some party's input — is name-independent: parties with
 //! equal inputs trivially agree. The paper notes (footnote 3) that
 //! consensus is deterministically solvable in the fault-free setting; here
 //! it serves as the canonical demonstration of Theorem C.1.
-
-use std::rc::Rc;
-
-use rsbt_sim::runner::Protocol;
-
-use crate::reduction::{TableSolver, ViaLeader};
-use crate::role::Role;
-
-/// The consensus solver: every input maps to the minimal input (validity:
-/// the decision is someone's input; agreement: the table is constant).
-pub fn consensus_solver() -> TableSolver {
-    Rc::new(|inputs: &[u64]| {
-        let decision = *inputs.iter().min().expect("at least one input");
-        inputs.iter().map(|&v| (v, decision)).collect()
-    })
-}
-
-/// Wraps an election protocol into a consensus protocol for one node with
-/// the given input.
-pub fn consensus_node<L: Protocol<Output = Role>>(inner: L, input: u64) -> ViaLeader<L> {
-    ViaLeader::new(inner, input, consensus_solver())
-}
 
 /// Checks the two consensus properties on a complete output vector.
 ///
@@ -59,10 +37,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsbt_random::Assignment;
-    use rsbt_sim::runner::run_nodes;
     use rsbt_sim::{Model, PortNumbering};
 
-    use crate::{BlackboardLeaderElection, EuclidLeaderElection};
+    use crate::choreo::{consensus_choreo, BleChoreo, Choreography, EuclidChoreo};
 
     #[test]
     fn blackboard_consensus() {
@@ -70,11 +47,9 @@ mod tests {
             let alpha = Assignment::private(4);
             let mut rng = StdRng::seed_from_u64(seed);
             let inputs = [4u64, 2, 8, 2];
-            let nodes: Vec<_> = inputs
-                .iter()
-                .map(|&v| consensus_node(BlackboardLeaderElection::new(), v))
-                .collect();
-            let out = run_nodes(&Model::Blackboard, &alpha, 256, nodes, &mut rng);
+            let out = consensus_choreo(BleChoreo, inputs.to_vec())
+                .simulate(&Model::Blackboard, &alpha, 256, &mut rng)
+                .unwrap();
             assert!(out.completed, "seed {seed}");
             assert_eq!(check_consensus(&inputs, &out.outputs), Ok(2));
         }
@@ -87,11 +62,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed + 40);
             let ports = PortNumbering::random(5, &mut rng);
             let inputs = [9u64, 9, 1, 1, 1];
-            let nodes: Vec<_> = inputs
-                .iter()
-                .map(|&v| consensus_node(EuclidLeaderElection::new(2), v))
-                .collect();
-            let out = run_nodes(&Model::MessagePassing(ports), &alpha, 6000, nodes, &mut rng);
+            let out = consensus_choreo(EuclidChoreo { k: 2 }, inputs.to_vec())
+                .simulate(&Model::MessagePassing(ports), &alpha, 6000, &mut rng)
+                .unwrap();
             assert!(out.completed, "seed {seed}");
             assert_eq!(check_consensus(&inputs, &out.outputs), Ok(1));
         }

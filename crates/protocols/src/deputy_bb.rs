@@ -1,18 +1,7 @@
-//! Blackboard leader *and deputy* election — the algorithmic side of the
-//! paper's Section 5 future-work example (unconstrained roles).
-//!
-//! Strategy: keep posting randomness strings; decide once the common
-//! multiset contains **two distinct unique strings** — their holders
-//! become leader (smaller string) and deputy (next unique string), and
-//! everyone else follows. In the blackboard model the equality classes
-//! are exactly the source groups merged by string collisions, so the task
-//! is eventually solvable iff **at least two sources are singletons**
-//! (or `n = 2` with two sources, where both classes are singletons) — a
-//! strictly stronger requirement than Theorem 4.1's single singleton,
-//! quantifying how much harder the paper's future-work task is.
+//! Decision values of blackboard leader-and-deputy election
+//! ([`DeputyChoreo`](crate::choreo::DeputyChoreo)).
 
 use rsbt_sim::net::{Wire, WireError};
-use rsbt_sim::runner::{Incoming, Outgoing, Protocol, RoundCtx};
 
 /// Roles of the leader-and-deputy protocol.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -48,107 +37,23 @@ impl Wire for DeputyRole {
     }
 }
 
-/// The blackboard leader-and-deputy protocol (unconstrained roles).
-///
-/// # Example
-///
-/// ```
-/// use rand::SeedableRng;
-/// use rsbt_protocols::{DeputyRole, LeaderAndDeputyBlackboard};
-/// use rsbt_random::Assignment;
-/// use rsbt_sim::{runner, Model};
-///
-/// let alpha = Assignment::from_group_sizes(&[1, 1, 2]).unwrap();
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-/// let out = runner::run(
-///     &Model::Blackboard, &alpha, 128,
-///     LeaderAndDeputyBlackboard::new, &mut rng,
-/// );
-/// assert!(out.completed);
-/// let leaders = out.outputs.iter().filter(|o| **o == Some(DeputyRole::Leader)).count();
-/// let deputies = out.outputs.iter().filter(|o| **o == Some(DeputyRole::Deputy)).count();
-/// assert_eq!((leaders, deputies), (1, 1));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct LeaderAndDeputyBlackboard {
-    history: Vec<bool>,
-    decided: Option<DeputyRole>,
-}
-
-impl LeaderAndDeputyBlackboard {
-    /// Creates a fresh, undecided node.
-    pub fn new() -> Self {
-        LeaderAndDeputyBlackboard::default()
-    }
-}
-
-impl Protocol for LeaderAndDeputyBlackboard {
-    type Msg = Vec<bool>;
-    type Output = DeputyRole;
-
-    fn round(&mut self, ctx: RoundCtx, incoming: &Incoming<Vec<bool>>) -> Outgoing<Vec<bool>> {
-        if self.decided.is_some() {
-            return Outgoing::Silent;
-        }
-        if ctx.round > 1 {
-            let board = incoming.board_view().expect("runs on a blackboard");
-            let mine = self.history.clone();
-            let mut all: Vec<&Vec<bool>> = board.iter().collect();
-            all.push(&mine);
-            all.sort();
-            // Unique strings in lexicographic order.
-            let uniques: Vec<&Vec<bool>> = all
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| {
-                    let prev_same = *i > 0 && all[i - 1] == **s;
-                    let next_same = *i + 1 < all.len() && all[i + 1] == **s;
-                    !prev_same && !next_same
-                })
-                .map(|(_, s)| *s)
-                .collect();
-            if uniques.len() >= 2 {
-                self.decided = Some(if mine == *uniques[0] {
-                    DeputyRole::Leader
-                } else if mine == *uniques[1] {
-                    DeputyRole::Deputy
-                } else {
-                    DeputyRole::Follower
-                });
-                return Outgoing::Silent;
-            }
-        }
-        self.history.push(ctx.bit);
-        Outgoing::Post(self.history.clone())
-    }
-
-    fn output(&self) -> Option<DeputyRole> {
-        self.decided
-    }
-
-    fn msg_bytes(msg: &Vec<bool>) -> usize {
-        msg.wire_len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsbt_random::Assignment;
-    use rsbt_sim::{runner, Model};
+    use rsbt_sim::runner::RunOutcome;
+    use rsbt_sim::Model;
 
-    fn run_ld(sizes: &[usize], seed: u64, cap: usize) -> runner::RunOutcome<DeputyRole> {
+    use crate::choreo::{Choreography, DeputyChoreo};
+
+    fn run_ld(sizes: &[usize], seed: u64, cap: usize) -> RunOutcome<DeputyRole> {
         let alpha = Assignment::from_group_sizes(sizes).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        runner::run(
-            &Model::Blackboard,
-            &alpha,
-            cap,
-            LeaderAndDeputyBlackboard::new,
-            &mut rng,
-        )
+        DeputyChoreo
+            .simulate(&Model::Blackboard, &alpha, cap, &mut rng)
+            .unwrap()
     }
 
     fn role_counts(outs: &[Option<DeputyRole>]) -> (usize, usize, usize) {

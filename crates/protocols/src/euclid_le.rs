@@ -1,32 +1,7 @@
-//! Message-passing leader election by imitating Euclid's algorithm
-//! (Theorem 4.2, 'if' direction).
-//!
-//! The protocol has two phases:
-//!
-//! 1. **Discovery** — every node broadcasts its accumulated random string
-//!    each round. All nodes see the same multiset of `n` strings, so once
-//!    `k` distinct strings appear (`k` = number of sources, common
-//!    knowledge) everyone agrees on the partition into source groups, on
-//!    each group's size, and on which local port leads into which group.
-//! 2. **Euclid loop** — repeatedly pick the two smallest active groups
-//!    `A, B` (`|A| ≤ |B|`, deterministic tie-break), run Algorithm 1's
-//!    matching between them, and deactivate the matched `B`-members. Group
-//!    sizes evolve as `(|A|, |B|) → (|A|, |B| − |A|)`: the subtractive
-//!    Euclid step. The gcd of the active sizes is invariant, so when
-//!    `gcd(n_1, …, n_k) = 1` a singleton group eventually appears — its
-//!    unique active member becomes the leader. When the gcd exceeds 1 the
-//!    loop bottoms out at one group of gcd-many mutually-consistent nodes
-//!    and never terminates, matching the impossibility direction.
-//!
-//! Nodes sharing a randomness source draw identical bits throughout —
-//! including during the matching's random port choices — and the protocol
-//! still works for *any* port numbering, which is exactly the content of
-//! Theorem 4.2.
+//! Messages of the Theorem 4.2 Euclid leader election
+//! ([`EuclidChoreo`](crate::choreo::EuclidChoreo)).
 
 use rsbt_sim::net::{Wire, WireError};
-use rsbt_sim::runner::{Incoming, Outgoing, Protocol, RoundCtx};
-
-use crate::role::Role;
 
 /// Messages of the Euclid leader-election protocol.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -69,319 +44,16 @@ impl Wire for EuclidMsg {
     }
 }
 
-/// One anonymous node of the Euclid leader-election protocol.
-///
-/// # Example
-///
-/// ```
-/// use rand::SeedableRng;
-/// use rsbt_protocols::{EuclidLeaderElection, Role};
-/// use rsbt_random::Assignment;
-/// use rsbt_sim::{runner, Model, PortNumbering};
-///
-/// // Group sizes [2, 3]: gcd 1, so election succeeds for any ports.
-/// let alpha = Assignment::from_group_sizes(&[2, 3]).unwrap();
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-/// let ports = PortNumbering::random(5, &mut rng);
-/// let out = runner::run(
-///     &Model::MessagePassing(ports),
-///     &alpha,
-///     4000,
-///     || EuclidLeaderElection::new(2),
-///     &mut rng,
-/// );
-/// assert!(out.completed);
-/// let leaders = out.outputs.iter().filter(|o| **o == Some(Role::Leader)).count();
-/// assert_eq!(leaders, 1);
-/// ```
-#[derive(Clone, Debug)]
-pub struct EuclidLeaderElection {
-    /// Number of randomness sources (common knowledge).
-    k: usize,
-    // --- discovery ---
-    history: Vec<bool>,
-    freeze_round: Option<usize>,
-    my_group: usize,
-    /// Group of the node behind each port (valid after freeze).
-    port_group: Vec<usize>,
-    /// Whether the node behind each port is still active.
-    port_active: Vec<bool>,
-    self_active: bool,
-    /// Active size of each group.
-    sizes: Vec<usize>,
-    // --- Euclid loop ---
-    pair: Option<(usize, usize)>,
-    matched_self: bool,
-    matched_a_count: usize,
-    bit_buffer: Vec<bool>,
-    decided: Option<Role>,
-}
-
-impl EuclidLeaderElection {
-    /// Creates a fresh node that expects `k` distinct randomness sources.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "at least one source");
-        EuclidLeaderElection {
-            k,
-            history: Vec::new(),
-            freeze_round: None,
-            my_group: 0,
-            port_group: Vec::new(),
-            port_active: Vec::new(),
-            self_active: true,
-            sizes: Vec::new(),
-            pair: None,
-            matched_self: false,
-            matched_a_count: 0,
-            bit_buffer: Vec::new(),
-            decided: None,
-        }
-    }
-
-    /// Deterministic pair selection: the two smallest non-empty groups,
-    /// ties broken by group id. Returns `(A, B)` with `|A| ≤ |B|`.
-    fn select_pair(&self) -> Option<(usize, usize)> {
-        let mut live: Vec<usize> = (0..self.sizes.len())
-            .filter(|&g| self.sizes[g] > 0)
-            .collect();
-        live.sort_by_key(|&g| (self.sizes[g], g));
-        match live.as_slice() {
-            [a, b, ..] => Some((*a, *b)),
-            _ => None,
-        }
-    }
-
-    /// The smallest group id of size exactly one, if any.
-    fn winner_group(&self) -> Option<usize> {
-        (0..self.sizes.len()).find(|&g| self.sizes[g] == 1)
-    }
-
-    /// Concludes the election once a singleton group exists.
-    fn try_decide(&mut self) -> bool {
-        if let Some(g) = self.winner_group() {
-            self.decided = Some(if self.self_active && self.my_group == g {
-                Role::Leader
-            } else {
-                Role::Follower
-            });
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Starts the next matching iteration (or decides), after group sizes
-    /// changed.
-    fn next_iteration(&mut self) -> bool {
-        if self.try_decide() {
-            return true;
-        }
-        self.pair = self.select_pair();
-        self.matched_self = false;
-        self.matched_a_count = 0;
-        false
-    }
-
-    /// Uniform index in `0..m` by rejection sampling from the shared bit
-    /// stream (identical across a group — by design).
-    fn draw_index(&mut self, m: usize) -> Option<usize> {
-        if m == 1 {
-            return Some(0);
-        }
-        let needed = usize::BITS as usize - (m - 1).leading_zeros() as usize;
-        if self.bit_buffer.len() < needed {
-            return None;
-        }
-        let bits: Vec<bool> = self.bit_buffer.drain(..needed).collect();
-        let v = bits
-            .iter()
-            .fold(0usize, |acc, &b| acc << 1 | usize::from(b));
-        (v < m).then_some(v)
-    }
-
-    /// Ports of this node leading to active members of group `g`.
-    fn active_ports_of_group(&self, g: usize) -> Vec<usize> {
-        self.port_group
-            .iter()
-            .zip(&self.port_active)
-            .enumerate()
-            .filter(|(_, (pg, act))| **pg == g && **act)
-            .map(|(i, _)| i + 1)
-            .collect()
-    }
-
-    fn discovery_round(
-        &mut self,
-        ctx: RoundCtx,
-        ports: &[Option<EuclidMsg>],
-    ) -> Outgoing<EuclidMsg> {
-        if ctx.n == 1 {
-            self.decided = Some(Role::Leader);
-            return Outgoing::Silent;
-        }
-        if ctx.round > 1 {
-            // Everyone's strings from the previous round, in port order.
-            let others: Vec<Vec<bool>> = ports
-                .iter()
-                .map(|m| match m {
-                    Some(EuclidMsg::Hist(h)) => h.clone(),
-                    other => panic!("discovery expects Hist, got {other:?}"),
-                })
-                .collect();
-            let mine = self.history.clone();
-            let mut distinct: Vec<&Vec<bool>> =
-                others.iter().chain(std::iter::once(&mine)).collect();
-            distinct.sort();
-            distinct.dedup();
-            if distinct.len() == self.k {
-                // Freeze: group ids by sorted string rank.
-                self.my_group = distinct.binary_search(&&mine).expect("present");
-                self.port_group = others
-                    .iter()
-                    .map(|s| distinct.binary_search(&s).expect("present"))
-                    .collect();
-                self.port_active = vec![true; ports.len()];
-                self.sizes = vec![0; self.k];
-                self.sizes[self.my_group] += 1;
-                for &g in &self.port_group {
-                    self.sizes[g] += 1;
-                }
-                self.freeze_round = Some(ctx.round);
-                self.next_iteration();
-                return Outgoing::Silent;
-            }
-        }
-        self.history.push(ctx.bit);
-        Outgoing::Broadcast(EuclidMsg::Hist(self.history.clone()))
-    }
-
-    fn matching_round(
-        &mut self,
-        ctx: RoundCtx,
-        ports: &[Option<EuclidMsg>],
-    ) -> Outgoing<EuclidMsg> {
-        self.bit_buffer.push(ctx.bit);
-        let freeze = self.freeze_round.expect("frozen");
-        let (ga, gb) = match self.pair {
-            Some(p) => p,
-            None => return Outgoing::Silent, // stuck: gcd > 1 dead end
-        };
-        match (ctx.round - freeze - 1) % 3 {
-            // R1: count AnnA; close the iteration when A is exhausted;
-            // otherwise unmatched A-members request a random B-port.
-            0 => {
-                self.matched_a_count += ports
-                    .iter()
-                    .filter(|m| **m == Some(EuclidMsg::AnnA))
-                    .count();
-                if self.matched_a_count >= self.sizes[ga] {
-                    self.sizes[gb] -= self.sizes[ga];
-                    if self.next_iteration() {
-                        return Outgoing::Silent;
-                    }
-                }
-                let (ga, gb) = match self.pair {
-                    Some(p) => p,
-                    None => return Outgoing::Silent, // gcd > 1 dead end
-                };
-                if self.self_active && self.my_group == ga && !self.matched_self {
-                    let targets = self.active_ports_of_group(gb);
-                    debug_assert!(!targets.is_empty(), "B side exhausted prematurely");
-                    if let Some(i) = self.draw_index(targets.len()) {
-                        return Outgoing::Send(vec![(targets[i], EuclidMsg::Req)]);
-                    }
-                }
-                Outgoing::Silent
-            }
-            // R2: unmatched active B-members accept the minimal requester.
-            1 => {
-                if self.self_active && self.my_group == gb && !self.matched_self {
-                    let requesters: Vec<usize> = ports
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, m)| **m == Some(EuclidMsg::Req))
-                        .map(|(i, _)| i + 1)
-                        .collect();
-                    if let Some(&min_port) = requesters.first() {
-                        self.matched_self = true;
-                        self.self_active = false; // deactivated for good
-                        let mut out = vec![(min_port, EuclidMsg::Ack)];
-                        for p in 1..ctx.n {
-                            if p != min_port {
-                                out.push((p, EuclidMsg::AnnB));
-                            }
-                        }
-                        return Outgoing::Send(out);
-                    }
-                }
-                Outgoing::Silent
-            }
-            // R3: record deactivated B-members; acknowledged A-members
-            // announce their match.
-            _ => {
-                let mut acked = false;
-                for (i, m) in ports.iter().enumerate() {
-                    match m {
-                        Some(EuclidMsg::Ack) => {
-                            acked = true;
-                            self.port_active[i] = false;
-                        }
-                        Some(EuclidMsg::AnnB) => {
-                            self.port_active[i] = false;
-                        }
-                        _ => {}
-                    }
-                }
-                if acked && self.self_active && self.my_group == ga && !self.matched_self {
-                    self.matched_self = true;
-                    self.matched_a_count += 1;
-                    return Outgoing::Broadcast(EuclidMsg::AnnA);
-                }
-                Outgoing::Silent
-            }
-        }
-    }
-}
-
-impl Protocol for EuclidLeaderElection {
-    type Msg = EuclidMsg;
-    type Output = Role;
-
-    fn round(&mut self, ctx: RoundCtx, incoming: &Incoming<EuclidMsg>) -> Outgoing<EuclidMsg> {
-        if self.decided.is_some() {
-            return Outgoing::Silent;
-        }
-        let ports = incoming.ports_view().expect("runs under message passing");
-        if self.freeze_round.is_none() {
-            self.discovery_round(ctx, &ports)
-        } else {
-            self.matching_round(ctx, &ports)
-        }
-    }
-
-    fn output(&self) -> Option<Role> {
-        self.decided
-    }
-
-    fn msg_bytes(msg: &EuclidMsg) -> usize {
-        msg.wire_len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsbt_random::{gcd, Assignment};
-    use rsbt_sim::runner::{run, RunOutcome};
+    use rsbt_sim::runner::RunOutcome;
     use rsbt_sim::{Model, PortNumbering};
 
-    use crate::role::leader_count;
+    use crate::choreo::{Choreography, EuclidChoreo, EuclidRole};
+    use crate::role::{leader_count, Role};
 
     fn elect(
         sizes: &[usize],
@@ -392,13 +64,9 @@ mod tests {
         let alpha = Assignment::from_group_sizes(sizes).unwrap();
         let k = sizes.len();
         let mut rng = StdRng::seed_from_u64(seed);
-        run(
-            &Model::MessagePassing(ports),
-            &alpha,
-            max_rounds,
-            || EuclidLeaderElection::new(k),
-            &mut rng,
-        )
+        EuclidChoreo { k }
+            .simulate(&Model::MessagePassing(ports), &alpha, max_rounds, &mut rng)
+            .unwrap()
     }
 
     #[test]
@@ -489,7 +157,7 @@ mod tests {
     #[test]
     fn subtractive_sizes_respect_gcd_invariant() {
         // Pure state-machine check of the pair-selection arithmetic.
-        let mut node = EuclidLeaderElection::new(3);
+        let mut node = EuclidRole::new(3);
         node.sizes = vec![4, 6, 9];
         let g0 = gcd::gcd_many(&[4, 6, 9]);
         while let Some((a, b)) = node.select_pair() {

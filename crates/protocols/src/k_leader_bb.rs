@@ -1,162 +1,23 @@
-//! Blackboard `k`-leader election: elect *exactly* `k` leaders.
-//!
-//! Generalizes the Theorem 4.1 algorithm. Every node posts its randomness
-//! string each round; all nodes see the same multiset of `n` strings and
-//! hence the same partition into equality classes. As soon as some
-//! sub-collection of classes has sizes summing to exactly `k`, everyone
-//! agrees on the lexicographically first such sub-collection, and its
-//! members are the leaders. This realizes, algorithmically, the
-//! framework's characterization exercised by `exp_two_leader`: blackboard
-//! `k`-LE is eventually solvable iff the group sizes admit a sub-multiset
-//! of classes that can sum to `k` (for `k = 2`: a source of size 2 or two
-//! singleton sources).
-
-use rsbt_sim::net::Wire;
-use rsbt_sim::runner::{Incoming, Outgoing, Protocol, RoundCtx};
-
-use crate::role::Role;
-
-/// The blackboard exactly-`k`-leaders protocol.
-///
-/// # Example
-///
-/// ```
-/// use rand::SeedableRng;
-/// use rsbt_protocols::{KLeaderBlackboard, Role};
-/// use rsbt_random::Assignment;
-/// use rsbt_sim::{runner, Model};
-///
-/// // Sizes [2, 2]: a whole pair can be elected as the 2 leaders.
-/// let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let out = runner::run(&Model::Blackboard, &alpha, 128, || KLeaderBlackboard::new(2), &mut rng);
-/// assert!(out.completed);
-/// let leaders = out.outputs.iter().filter(|o| **o == Some(Role::Leader)).count();
-/// assert_eq!(leaders, 2);
-/// ```
-#[derive(Clone, Debug)]
-pub struct KLeaderBlackboard {
-    k: usize,
-    history: Vec<bool>,
-    decided: Option<Role>,
-}
-
-impl KLeaderBlackboard {
-    /// Creates a fresh node for the exactly-`k`-leaders task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "need k ≥ 1");
-        KLeaderBlackboard {
-            k,
-            history: Vec::new(),
-            decided: None,
-        }
-    }
-
-    /// Finds the lexicographically first set of classes with sizes summing
-    /// to `k`. Classes are given as (representative string, size) sorted by
-    /// string; the result is the indices of the chosen classes.
-    fn choose_classes(sizes: &[usize], k: usize) -> Option<Vec<usize>> {
-        // Greedy-lexicographic subset-sum via backtracking over indices in
-        // order: pick the first feasible branch.
-        fn rec(sizes: &[usize], k: usize, from: usize, chosen: &mut Vec<usize>) -> bool {
-            if k == 0 {
-                return true;
-            }
-            for i in from..sizes.len() {
-                if sizes[i] <= k {
-                    chosen.push(i);
-                    if rec(sizes, k - sizes[i], i + 1, chosen) {
-                        return true;
-                    }
-                    chosen.pop();
-                }
-            }
-            false
-        }
-        let mut chosen = Vec::new();
-        rec(sizes, k, 0, &mut chosen).then_some(chosen)
-    }
-}
-
-impl Protocol for KLeaderBlackboard {
-    type Msg = Vec<bool>;
-    type Output = Role;
-
-    fn round(&mut self, ctx: RoundCtx, incoming: &Incoming<Vec<bool>>) -> Outgoing<Vec<bool>> {
-        if self.decided.is_some() {
-            return Outgoing::Silent;
-        }
-        if ctx.round > 1 {
-            let board = incoming.board_view().expect("runs on a blackboard");
-            let mine = self.history.clone();
-            let mut all: Vec<&Vec<bool>> = board.iter().collect();
-            all.push(&mine);
-            all.sort();
-            // Classes in lexicographic order of their representative.
-            let mut reps: Vec<&Vec<bool>> = Vec::new();
-            let mut sizes: Vec<usize> = Vec::new();
-            for s in &all {
-                match reps.last() {
-                    Some(last) if *last == *s => *sizes.last_mut().expect("non-empty") += 1,
-                    _ => {
-                        reps.push(s);
-                        sizes.push(1);
-                    }
-                }
-            }
-            if let Some(chosen) = KLeaderBlackboard::choose_classes(&sizes, self.k) {
-                let my_class = reps
-                    .iter()
-                    .position(|r| **r == mine)
-                    .expect("own string present");
-                self.decided = Some(if chosen.contains(&my_class) {
-                    Role::Leader
-                } else {
-                    Role::Follower
-                });
-                return Outgoing::Silent;
-            }
-        } else if ctx.n == 1 && self.k == 1 {
-            self.decided = Some(Role::Leader);
-            return Outgoing::Silent;
-        }
-        self.history.push(ctx.bit);
-        Outgoing::Post(self.history.clone())
-    }
-
-    fn output(&self) -> Option<Role> {
-        self.decided
-    }
-
-    fn msg_bytes(msg: &Vec<bool>) -> usize {
-        msg.wire_len()
-    }
-}
+//! Tests of blackboard exactly-`k`-leaders election
+//! ([`KLeaderChoreo`](crate::choreo::KLeaderChoreo)).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsbt_random::Assignment;
-    use rsbt_sim::{runner, Model};
+    use rsbt_sim::runner::RunOutcome;
+    use rsbt_sim::Model;
 
-    use crate::role::leader_count;
+    use crate::choreo::{Choreography, KLeaderChoreo, KLeaderRole};
+    use crate::role::{leader_count, Role};
 
-    fn elect(sizes: &[usize], k: usize, seed: u64, cap: usize) -> runner::RunOutcome<Role> {
+    fn elect(sizes: &[usize], k: usize, seed: u64, cap: usize) -> RunOutcome<Role> {
         let alpha = Assignment::from_group_sizes(sizes).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        runner::run(
-            &Model::Blackboard,
-            &alpha,
-            cap,
-            || KLeaderBlackboard::new(k),
-            &mut rng,
-        )
+        KLeaderChoreo { k }
+            .simulate(&Model::Blackboard, &alpha, cap, &mut rng)
+            .unwrap()
     }
 
     #[test]
@@ -210,17 +71,14 @@ mod tests {
 
     #[test]
     fn choose_classes_lexicographic() {
+        assert_eq!(KLeaderRole::choose_classes(&[1, 1, 3], 2), Some(vec![0, 1]));
+        assert_eq!(KLeaderRole::choose_classes(&[3, 2], 2), Some(vec![1]));
+        assert_eq!(KLeaderRole::choose_classes(&[3, 1], 2), None);
         assert_eq!(
-            KLeaderBlackboard::choose_classes(&[1, 1, 3], 2),
-            Some(vec![0, 1])
-        );
-        assert_eq!(KLeaderBlackboard::choose_classes(&[3, 2], 2), Some(vec![1]));
-        assert_eq!(KLeaderBlackboard::choose_classes(&[3, 1], 2), None);
-        assert_eq!(
-            KLeaderBlackboard::choose_classes(&[2, 1, 1], 4),
+            KLeaderRole::choose_classes(&[2, 1, 1], 4),
             Some(vec![0, 1, 2])
         );
-        assert_eq!(KLeaderBlackboard::choose_classes(&[], 1), None);
+        assert_eq!(KLeaderRole::choose_classes(&[], 1), None);
     }
 
     #[test]

@@ -1,29 +1,7 @@
-//! Algorithm 1: the `CreateMatching` procedure.
-//!
-//! Two groups of anonymous nodes, `A` (size `a ≤ b`) and `B` (size `b`),
-//! build a matching of all of `A` into `B`:
-//!
-//! 1. every unmatched `A`-node picks a uniformly random *active* `B`-port
-//!    and sends a request;
-//! 2. every `B`-node that received requests acknowledges the minimal
-//!    requesting port and announces itself matched to everyone else;
-//! 3. acknowledged `A`-nodes announce themselves matched.
-//!
-//! Each iteration matches at least one pair, so the procedure terminates
-//! after at most `a` iterations (Lemma 4.8). Nodes whose group shares one
-//! randomness source draw *identical* random choices — the correlated-
-//! randomness regime the paper studies — yet the procedure still works
-//! because port numbers are local: the same random index points different
-//! nodes at different targets.
-//!
-//! The protocol here is standalone: group membership and the ports leading
-//! into `B` are constructor inputs, mirroring the paper's premise that
-//! "this separation is already known to all the participating parties".
-//! [`crate::EuclidLeaderElection`] derives that information on-line from
-//! the nodes' randomness instead.
+//! Messages and decision values of Algorithm 1 (`CreateMatching`,
+//! [`MatchingChoreo`](crate::choreo::MatchingChoreo)).
 
 use rsbt_sim::net::{Wire, WireError};
-use rsbt_sim::runner::{Incoming, Outgoing, Protocol, RoundCtx};
 
 /// Messages of the matching procedure.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -97,235 +75,16 @@ impl Wire for MatchStatus {
     }
 }
 
-/// Which side of the matching a node is on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Side {
-    A,
-    B,
-    Bystander,
-}
-
-/// One anonymous node of the `CreateMatching` procedure.
-///
-/// # Example
-///
-/// See `tests::matches_all_of_a` for a complete run; the constructors are
-/// [`CreateMatching::new_a`], [`CreateMatching::new_b`] and
-/// [`CreateMatching::bystander`].
-#[derive(Clone, Debug)]
-pub struct CreateMatching {
-    side: Side,
-    /// |A|: how many `AnnA` announcements signal termination.
-    a_total: usize,
-    /// For `A`-nodes: ports leading to currently-active `B`-nodes.
-    active_b_ports: Vec<usize>,
-    /// Fresh random bits accumulated for target selection.
-    bit_buffer: Vec<bool>,
-    matched_self: bool,
-    /// Port of the request sent in the current block (A side).
-    matched_count: usize,
-    decided: Option<MatchStatus>,
-}
-
-impl CreateMatching {
-    /// An `A`-side node; `b_ports` are its ports into `B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a_total == 0` or `b_ports.len() < a_total` (the procedure
-    /// requires `|A| ≤ |B|`).
-    pub fn new_a(a_total: usize, b_ports: Vec<usize>) -> Self {
-        assert!(a_total >= 1, "matching needs a non-empty A side");
-        assert!(
-            b_ports.len() >= a_total,
-            "CreateMatching requires |A| ≤ |B|"
-        );
-        CreateMatching {
-            side: Side::A,
-            a_total,
-            active_b_ports: b_ports,
-            bit_buffer: Vec::new(),
-            matched_self: false,
-            matched_count: 0,
-            decided: None,
-        }
-    }
-
-    /// A `B`-side node.
-    pub fn new_b(a_total: usize) -> Self {
-        CreateMatching {
-            side: Side::B,
-            a_total,
-            active_b_ports: Vec::new(),
-            bit_buffer: Vec::new(),
-            matched_self: false,
-            matched_count: 0,
-            decided: None,
-        }
-    }
-
-    /// A node in neither group (it still observes announcements so that
-    /// every node terminates with a status).
-    pub fn bystander(a_total: usize) -> Self {
-        CreateMatching {
-            side: Side::Bystander,
-            a_total,
-            active_b_ports: Vec::new(),
-            bit_buffer: Vec::new(),
-            matched_self: false,
-            matched_count: 0,
-            decided: None,
-        }
-    }
-
-    /// Draws a uniform index in `0..m` from the bit buffer by rejection
-    /// sampling. Returns `None` when the buffer cannot decide yet.
-    fn draw_index(&mut self, m: usize) -> Option<usize> {
-        if m == 1 {
-            return Some(0);
-        }
-        let needed = usize::BITS as usize - (m - 1).leading_zeros() as usize;
-        if self.bit_buffer.len() < needed {
-            return None;
-        }
-        let bits: Vec<bool> = self.bit_buffer.drain(..needed).collect();
-        let v = bits
-            .iter()
-            .fold(0usize, |acc, &b| acc << 1 | usize::from(b));
-        (v < m).then_some(v)
-    }
-
-    fn finish(&mut self) {
-        self.decided = Some(match self.side {
-            Side::A => MatchStatus::Matched,
-            Side::B => {
-                if self.matched_self {
-                    MatchStatus::Matched
-                } else {
-                    MatchStatus::Unmatched
-                }
-            }
-            Side::Bystander => MatchStatus::Bystander,
-        });
-    }
-}
-
-impl Protocol for CreateMatching {
-    type Msg = MatchMsg;
-    type Output = MatchStatus;
-
-    fn round(&mut self, ctx: RoundCtx, incoming: &Incoming<MatchMsg>) -> Outgoing<MatchMsg> {
-        if self.decided.is_some() {
-            return Outgoing::Silent;
-        }
-        self.bit_buffer.push(ctx.bit);
-        let ports = incoming.ports_view().expect("runs under message passing");
-        match (ctx.round - 1) % 3 {
-            // R1: count AnnA from the previous block; unmatched A-nodes
-            // request a random active B-port.
-            0 => {
-                self.matched_count += ports.iter().filter(|m| **m == Some(MatchMsg::AnnA)).count();
-                if self.matched_count >= self.a_total {
-                    self.finish();
-                    return Outgoing::Silent;
-                }
-                if self.side == Side::A && !self.matched_self {
-                    let m = self.active_b_ports.len();
-                    debug_assert!(m > 0, "A-node ran out of active B targets");
-                    if let Some(i) = self.draw_index(m) {
-                        return Outgoing::Send(vec![(self.active_b_ports[i], MatchMsg::Req)]);
-                    }
-                }
-                Outgoing::Silent
-            }
-            // R2: unmatched B-nodes accept the minimal requesting port.
-            1 => {
-                if self.side == Side::B && !self.matched_self {
-                    let requesters: Vec<usize> = ports
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, m)| **m == Some(MatchMsg::Req))
-                        .map(|(i, _)| i + 1)
-                        .collect();
-                    if let Some(&min_port) = requesters.first() {
-                        self.matched_self = true;
-                        let mut out = vec![(min_port, MatchMsg::Ack)];
-                        for p in 1..ctx.n {
-                            if p != min_port {
-                                out.push((p, MatchMsg::AnnB));
-                            }
-                        }
-                        return Outgoing::Send(out);
-                    }
-                }
-                Outgoing::Silent
-            }
-            // R3: process Ack/AnnB; acknowledged A-nodes announce.
-            _ => {
-                let mut acked = false;
-                for (i, m) in ports.iter().enumerate() {
-                    match m {
-                        Some(MatchMsg::Ack) => {
-                            acked = true;
-                            self.active_b_ports.retain(|&p| p != i + 1);
-                        }
-                        Some(MatchMsg::AnnB) => {
-                            self.active_b_ports.retain(|&p| p != i + 1);
-                        }
-                        _ => {}
-                    }
-                }
-                if acked && self.side == Side::A {
-                    self.matched_self = true;
-                    self.matched_count += 1;
-                    if self.matched_count >= self.a_total {
-                        // Still announce so everyone else can finish.
-                        self.finish();
-                    }
-                    return Outgoing::Broadcast(MatchMsg::AnnA);
-                }
-                Outgoing::Silent
-            }
-        }
-    }
-
-    fn output(&self) -> Option<MatchStatus> {
-        self.decided
-    }
-
-    fn msg_bytes(msg: &MatchMsg) -> usize {
-        msg.wire_len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsbt_random::Assignment;
-    use rsbt_sim::runner::run_nodes;
     use rsbt_sim::{Model, PortNumbering};
 
-    /// Builds the node vector for groups A = first `a` nodes, B = next `b`
-    /// nodes, bystanders after, under the given numbering.
-    fn build_nodes(ports: &PortNumbering, a: usize, b: usize) -> Vec<CreateMatching> {
-        let n = ports.n();
-        (0..n)
-            .map(|i| {
-                if i < a {
-                    let b_ports: Vec<usize> = (a..a + b)
-                        .map(|target| ports.port_towards(i, target))
-                        .collect();
-                    CreateMatching::new_a(a, b_ports)
-                } else if i < a + b {
-                    CreateMatching::new_b(a)
-                } else {
-                    CreateMatching::bystander(a)
-                }
-            })
-            .collect()
-    }
+    use crate::choreo::protocols::draw_index;
+    use crate::choreo::{Choreography, MatchingChoreo, MatchingRole};
 
     fn run_matching(
         a: usize,
@@ -337,10 +96,11 @@ mod tests {
         let n = a + b + extra;
         let mut rng = StdRng::seed_from_u64(seed);
         let ports = PortNumbering::random(n, &mut rng);
-        let nodes = build_nodes(&ports, a, b);
         let alpha = Assignment::from_sources(sources).unwrap();
         assert_eq!(alpha.n(), n);
-        let out = run_nodes(&Model::MessagePassing(ports), &alpha, 3000, nodes, &mut rng);
+        let out = MatchingChoreo { a, b }
+            .simulate(&Model::MessagePassing(ports), &alpha, 3000, &mut rng)
+            .unwrap();
         assert!(out.completed, "matching a={a} b={b} seed={seed} timed out");
         out.outputs
     }
@@ -411,19 +171,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "|A| ≤ |B|")]
     fn rejects_a_larger_than_b() {
-        let _ = CreateMatching::new_a(3, vec![1, 2]);
+        let _ = MatchingRole::new_a(3, vec![1, 2]);
     }
 
     #[test]
     fn draw_index_rejection_sampling() {
-        let mut node = CreateMatching::new_b(1);
         // m = 1 needs no bits.
-        assert_eq!(node.draw_index(1), Some(0));
+        let mut bit_buffer = Vec::new();
+        assert_eq!(draw_index(&mut bit_buffer, 1), Some(0));
         // m = 3 needs 2 bits; "11" = 3 is rejected.
-        node.bit_buffer = vec![true, true];
-        assert_eq!(node.draw_index(3), None);
-        assert!(node.bit_buffer.is_empty(), "rejected bits are consumed");
-        node.bit_buffer = vec![true, false];
-        assert_eq!(node.draw_index(3), Some(2));
+        bit_buffer = vec![true, true];
+        assert_eq!(draw_index(&mut bit_buffer, 3), None);
+        assert!(bit_buffer.is_empty(), "rejected bits are consumed");
+        bit_buffer = vec![true, false];
+        assert_eq!(draw_index(&mut bit_buffer, 3), Some(2));
     }
 }

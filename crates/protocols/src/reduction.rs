@@ -1,32 +1,7 @@
-//! Theorem C.1: name-independent input-output tasks reduce to leader
-//! election.
-//!
-//! A task `(I, O, Δ)` is *name-independent* when parties holding the same
-//! input value must produce the same output value. Given any leader-
-//! election protocol, such a task is solved in three extra phases:
-//!
-//! 1. every node publishes its input value;
-//! 2. the leader computes an input-value → output-value table from the
-//!    input multiset (the centralized solve) and publishes it;
-//! 3. every node outputs the table entry for its own input.
-//!
-//! Publishing the *table* rather than per-node outputs keeps the reduction
-//! anonymous: nobody needs to address anybody. The construction is
-//! generic over the inner election protocol `L`, so it runs in both the
-//! blackboard and the message-passing model.
-
-use std::collections::BTreeMap;
-use std::fmt;
-use std::rc::Rc;
+//! Messages of the Theorem C.1 reduction of name-independent tasks to
+//! leader election ([`ReductionChoreo`](crate::choreo::ReductionChoreo)).
 
 use rsbt_sim::net::{Wire, WireError};
-use rsbt_sim::runner::{Incoming, Outgoing, Protocol, RoundCtx};
-
-use crate::role::Role;
-
-/// The centralized solver the leader applies to the multiset of inputs:
-/// maps the sorted input multiset to an input-value → output-value table.
-pub type TableSolver = Rc<dyn Fn(&[u64]) -> BTreeMap<u64, u64>>;
 
 /// Messages of the reduction: inner election messages, then task phases.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -67,194 +42,20 @@ impl<M: Wire> Wire for ReductionMsg<M> {
     }
 }
 
-/// A node of the reduction protocol, wrapping an inner election node `L`.
-///
-/// Construct one node per process with [`ViaLeader::new`]; processes run
-/// identical *code* but carry their own `input` (use
-/// [`rsbt_sim::runner::run_nodes`]).
-pub struct ViaLeader<L: Protocol<Output = Role>> {
-    inner: L,
-    input: u64,
-    solver: TableSolver,
-    /// Round at which the inner election completed (everyone decides the
-    /// same round for the elections in this crate).
-    elected_round: Option<usize>,
-    inputs_seen: Option<Vec<u64>>,
-    output: Option<u64>,
-}
-
-impl<L: Protocol<Output = Role>> fmt::Debug for ViaLeader<L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ViaLeader")
-            .field("input", &self.input)
-            .field("elected_round", &self.elected_round)
-            .field("output", &self.output)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<L: Protocol<Output = Role>> ViaLeader<L> {
-    /// Wraps an inner election node with this process's task input and the
-    /// centralized solver.
-    pub fn new(inner: L, input: u64, solver: TableSolver) -> Self {
-        ViaLeader {
-            inner,
-            input,
-            solver,
-            elected_round: None,
-            inputs_seen: None,
-            output: None,
-        }
-    }
-}
-
-impl<L: Protocol<Output = Role>> Protocol for ViaLeader<L>
-where
-    L::Msg: Wire,
-{
-    type Msg = ReductionMsg<L::Msg>;
-    type Output = u64;
-
-    fn round(&mut self, ctx: RoundCtx, incoming: &Incoming<Self::Msg>) -> Outgoing<Self::Msg> {
-        // Phase 0: run the inner election until it decides.
-        let elected_round = match self.elected_round {
-            None => {
-                let inner_incoming = project_inner(incoming);
-                let out = self.inner.round(ctx, &inner_incoming);
-                if self.inner.output().is_some() {
-                    self.elected_round = Some(ctx.round);
-                    // The node decided *this* round; its final messages (if
-                    // any) still need to go out before the task phases.
-                }
-                return lift_inner(out);
-            }
-            Some(r) => r,
-        };
-        // Phase 1 (round elected_round + 1): publish the input.
-        if ctx.round == elected_round + 1 {
-            return publish(ctx, incoming, ReductionMsg::Input(self.input));
-        }
-        // Phase 2 (round elected_round + 2): the leader publishes the
-        // table computed from the full input multiset.
-        if ctx.round == elected_round + 2 {
-            let mut inputs: Vec<u64> = collect(incoming, |m| match m {
-                ReductionMsg::Input(v) => Some(*v),
-                _ => None,
-            });
-            inputs.push(self.input);
-            inputs.sort_unstable();
-            self.inputs_seen = Some(inputs.clone());
-            if self.inner.output() == Some(Role::Leader) {
-                let table: Vec<(u64, u64)> = (self.solver)(&inputs).into_iter().collect();
-                return publish(ctx, incoming, ReductionMsg::Table(table));
-            }
-            return Outgoing::Silent;
-        }
-        // Phase 3: read the table and decide.
-        if ctx.round == elected_round + 3 && self.output.is_none() {
-            let tables: Vec<Vec<(u64, u64)>> = collect(incoming, |m| match m {
-                ReductionMsg::Table(t) => Some(t.clone()),
-                _ => None,
-            });
-            let table = if self.inner.output() == Some(Role::Leader) {
-                let inputs = self.inputs_seen.as_ref().expect("phase 2 ran");
-                (self.solver)(inputs).into_iter().collect()
-            } else {
-                tables.into_iter().next().expect("leader published a table")
-            };
-            let map: BTreeMap<u64, u64> = table.into_iter().collect();
-            self.output = Some(*map.get(&self.input).expect("table covers all inputs"));
-        }
-        Outgoing::Silent
-    }
-
-    fn output(&self) -> Option<u64> {
-        self.output
-    }
-
-    fn msg_bytes(msg: &Self::Msg) -> usize {
-        msg.wire_len()
-    }
-}
-
-/// Broadcasts (message-passing) or posts (blackboard) a task message.
-fn publish<M: Clone + Ord + fmt::Debug>(
-    _ctx: RoundCtx,
-    incoming: &Incoming<ReductionMsg<M>>,
-    msg: ReductionMsg<M>,
-) -> Outgoing<ReductionMsg<M>> {
-    match incoming {
-        Incoming::Board(_) => Outgoing::Post(msg),
-        Incoming::Ports(_) => Outgoing::Broadcast(msg),
-    }
-}
-
-/// Collects all incoming task messages matching `f`, model-agnostically.
-fn collect<M, T>(
-    incoming: &Incoming<ReductionMsg<M>>,
-    f: impl Fn(&ReductionMsg<M>) -> Option<T>,
-) -> Vec<T>
-where
-    M: Clone + Ord + fmt::Debug,
-{
-    match incoming {
-        Incoming::Board(msgs) => msgs.iter().filter_map(f).collect(),
-        Incoming::Ports(slots) => slots.iter().flatten().filter_map(f).collect(),
-    }
-}
-
-/// Projects incoming messages down to the inner protocol's alphabet.
-fn project_inner<M: Clone + Ord + fmt::Debug>(incoming: &Incoming<ReductionMsg<M>>) -> Incoming<M> {
-    match incoming {
-        Incoming::Board(msgs) => Incoming::Board(
-            msgs.iter()
-                .filter_map(|m| match m {
-                    ReductionMsg::Inner(x) => Some(x.clone()),
-                    _ => None,
-                })
-                .collect(),
-        ),
-        Incoming::Ports(slots) => Incoming::Ports(
-            slots
-                .iter()
-                .map(|s| match s {
-                    Some(ReductionMsg::Inner(x)) => Some(x.clone()),
-                    _ => None,
-                })
-                .collect(),
-        ),
-    }
-}
-
-/// Lifts the inner protocol's outgoing messages into the reduction
-/// alphabet.
-fn lift_inner<M: Clone + Ord + fmt::Debug>(out: Outgoing<M>) -> Outgoing<ReductionMsg<M>> {
-    match out {
-        Outgoing::Silent => Outgoing::Silent,
-        Outgoing::Post(m) => Outgoing::Post(ReductionMsg::Inner(m)),
-        Outgoing::Send(v) => Outgoing::Send(
-            v.into_iter()
-                .map(|(p, m)| (p, ReductionMsg::Inner(m)))
-                .collect(),
-        ),
-        Outgoing::Broadcast(m) => Outgoing::Broadcast(ReductionMsg::Inner(m)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
+
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsbt_random::Assignment;
-    use rsbt_sim::runner::run_nodes;
     use rsbt_sim::{Model, PortNumbering};
 
-    use crate::{BlackboardLeaderElection, EuclidLeaderElection};
+    use crate::choreo::{BleChoreo, Choreography, EuclidChoreo, ReductionChoreo, SharedSolver};
 
     /// Name-independent "minimum" task: everyone outputs the global min.
-    fn min_solver() -> TableSolver {
-        Rc::new(|inputs: &[u64]| {
+    fn min_solver() -> SharedSolver {
+        Arc::new(|inputs: &[u64]| {
             let min = *inputs.iter().min().expect("non-empty");
             inputs.iter().map(|&v| (v, min)).collect()
         })
@@ -264,12 +65,11 @@ mod tests {
     fn blackboard_min_via_leader() {
         let alpha = Assignment::from_group_sizes(&[1, 1, 1]).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let inputs = [30u64, 10, 20];
-        let nodes: Vec<_> = inputs
-            .iter()
-            .map(|&v| ViaLeader::new(BlackboardLeaderElection::new(), v, min_solver()))
-            .collect();
-        let out = run_nodes(&Model::Blackboard, &alpha, 256, nodes, &mut rng);
+        let inputs = vec![30u64, 10, 20];
+        let choreo = ReductionChoreo::new("min", BleChoreo, inputs, min_solver());
+        let out = choreo
+            .simulate(&Model::Blackboard, &alpha, 256, &mut rng)
+            .unwrap();
         assert!(out.completed);
         assert_eq!(out.outputs, vec![Some(10), Some(10), Some(10)]);
     }
@@ -279,12 +79,11 @@ mod tests {
         let alpha = Assignment::from_group_sizes(&[2, 3]).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         let ports = PortNumbering::random(5, &mut rng);
-        let inputs = [5u64, 5, 9, 9, 9]; // same-source nodes share inputs
-        let nodes: Vec<_> = inputs
-            .iter()
-            .map(|&v| ViaLeader::new(EuclidLeaderElection::new(2), v, min_solver()))
-            .collect();
-        let out = run_nodes(&Model::MessagePassing(ports), &alpha, 6000, nodes, &mut rng);
+        let inputs = vec![5u64, 5, 9, 9, 9]; // same-source nodes share inputs
+        let choreo = ReductionChoreo::new("min", EuclidChoreo { k: 2 }, inputs, min_solver());
+        let out = choreo
+            .simulate(&Model::MessagePassing(ports), &alpha, 6000, &mut rng)
+            .unwrap();
         assert!(out.completed);
         assert!(out.outputs.iter().all(|o| *o == Some(5)));
     }
@@ -292,7 +91,7 @@ mod tests {
     #[test]
     fn name_independence_equal_inputs_equal_outputs() {
         // A "rank" task: output = rank of your input among distinct inputs.
-        let solver: TableSolver = Rc::new(|inputs: &[u64]| {
+        let solver: SharedSolver = Arc::new(|inputs: &[u64]| {
             let mut distinct: Vec<u64> = inputs.to_vec();
             distinct.dedup();
             distinct
@@ -303,12 +102,11 @@ mod tests {
         });
         let alpha = Assignment::private(4);
         let mut rng = StdRng::seed_from_u64(8);
-        let inputs = [7u64, 3, 7, 11];
-        let nodes: Vec<_> = inputs
-            .iter()
-            .map(|&v| ViaLeader::new(BlackboardLeaderElection::new(), v, solver.clone()))
-            .collect();
-        let out = run_nodes(&Model::Blackboard, &alpha, 256, nodes, &mut rng);
+        let inputs = vec![7u64, 3, 7, 11];
+        let choreo = ReductionChoreo::new("rank", BleChoreo, inputs, solver);
+        let out = choreo
+            .simulate(&Model::Blackboard, &alpha, 256, &mut rng)
+            .unwrap();
         assert!(out.completed);
         // inputs sorted: [3,7,7,11] → ranks {3:0, 7:1, 11:2}.
         assert_eq!(
@@ -324,10 +122,10 @@ mod tests {
         // fails and the reduction inherits the stall.
         let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
-        let nodes: Vec<_> = (0..4)
-            .map(|i| ViaLeader::new(BlackboardLeaderElection::new(), i, min_solver()))
-            .collect();
-        let out = run_nodes(&Model::Blackboard, &alpha, 64, nodes, &mut rng);
+        let choreo = ReductionChoreo::new("min", BleChoreo, (0..4).collect(), min_solver());
+        let out = choreo
+            .simulate(&Model::Blackboard, &alpha, 64, &mut rng)
+            .unwrap();
         assert!(!out.completed);
     }
 }

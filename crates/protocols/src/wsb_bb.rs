@@ -1,99 +1,22 @@
-//! Blackboard weak symmetry breaking: output bits, not all equal.
-//!
-//! Algorithmic counterpart of `exp_wsb`'s framework characterization: the
-//! task is eventually solvable iff `k ≥ 2` (two distinct sources). Every
-//! node posts its randomness string each round; as soon as at least two
-//! distinct strings exist, the nodes holding the lexicographically
-//! smallest string output `0` and everyone else outputs `1` — a
-//! deterministic rule on the common multiset, so outputs are consistent
-//! and provably not all equal.
-
-use rsbt_sim::net::Wire;
-use rsbt_sim::runner::{Incoming, Outgoing, Protocol, RoundCtx};
-
-/// The blackboard weak-symmetry-breaking protocol. Outputs a bit.
-///
-/// # Example
-///
-/// ```
-/// use rand::SeedableRng;
-/// use rsbt_protocols::WeakSymmetryBreakingBlackboard;
-/// use rsbt_random::Assignment;
-/// use rsbt_sim::{runner, Model};
-///
-/// // k = 2 suffices even with no singleton source.
-/// let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let out = runner::run(
-///     &Model::Blackboard, &alpha, 64,
-///     WeakSymmetryBreakingBlackboard::new, &mut rng,
-/// );
-/// assert!(out.completed);
-/// let bits: Vec<u8> = out.outputs.iter().map(|o| o.unwrap()).collect();
-/// assert!(bits.iter().any(|&b| b == 0) && bits.iter().any(|&b| b == 1));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct WeakSymmetryBreakingBlackboard {
-    history: Vec<bool>,
-    decided: Option<u8>,
-}
-
-impl WeakSymmetryBreakingBlackboard {
-    /// Creates a fresh, undecided node.
-    pub fn new() -> Self {
-        WeakSymmetryBreakingBlackboard::default()
-    }
-}
-
-impl Protocol for WeakSymmetryBreakingBlackboard {
-    type Msg = Vec<bool>;
-    type Output = u8;
-
-    fn round(&mut self, ctx: RoundCtx, incoming: &Incoming<Vec<bool>>) -> Outgoing<Vec<bool>> {
-        if self.decided.is_some() {
-            return Outgoing::Silent;
-        }
-        if ctx.round > 1 {
-            let board = incoming.board_view().expect("runs on a blackboard");
-            let mine = self.history.clone();
-            let min = board.iter().min().map_or(&mine, |m| m.min(&mine));
-            let max = board.iter().max().map_or(&mine, |m| m.max(&mine));
-            if min != max {
-                self.decided = Some(u8::from(mine != *min));
-                return Outgoing::Silent;
-            }
-        }
-        self.history.push(ctx.bit);
-        Outgoing::Post(self.history.clone())
-    }
-
-    fn output(&self) -> Option<u8> {
-        self.decided
-    }
-
-    fn msg_bytes(msg: &Vec<bool>) -> usize {
-        msg.wire_len()
-    }
-}
+//! Tests of blackboard weak symmetry breaking
+//! ([`WsbChoreo`](crate::choreo::WsbChoreo)).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsbt_random::Assignment;
-    use rsbt_sim::{runner, Model};
+    use rsbt_sim::runner::RunOutcome;
+    use rsbt_sim::Model;
 
-    fn run_wsb(sizes: &[usize], seed: u64, cap: usize) -> runner::RunOutcome<u8> {
+    use crate::choreo::{Choreography, WsbChoreo};
+
+    fn run_wsb(sizes: &[usize], seed: u64, cap: usize) -> RunOutcome<u8> {
         let alpha = Assignment::from_group_sizes(sizes).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        runner::run(
-            &Model::Blackboard,
-            &alpha,
-            cap,
-            WeakSymmetryBreakingBlackboard::new,
-            &mut rng,
-        )
+        WsbChoreo
+            .simulate(&Model::Blackboard, &alpha, cap, &mut rng)
+            .unwrap()
     }
 
     fn assert_broken(outputs: &[Option<u8>]) {

@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use rand::SeedableRng;
 use rsbt_protocols::choreo::{
-    consensus_choreo, Backend, BleChoreo, EuclidChoreo, MatchingChoreo, McBackend, RunJob,
-    SimBackend, SocketBackend,
+    consensus_choreo, Backend, BackendError, BleChoreo, EuclidChoreo, MatchingChoreo, McBackend,
+    RunJob, SimBackend, SocketBackend,
 };
 use rsbt_random::Assignment;
 use rsbt_sim::{Model, PortNumbering};
@@ -132,9 +132,9 @@ fn spawn_backend_degrades_when_workers_never_connect() {
     assert_eq!(net.stats.crashes, 4);
 }
 
-/// Kill plans need a process to kill: the in-process launcher refuses.
+/// Kill plans need a process to kill: the in-process launcher refuses
+/// with a typed error.
 #[test]
-#[should_panic(expected = "kill plans require the Spawn launcher")]
 fn in_process_backend_rejects_kill_plans() {
     let alpha = Assignment::from_group_sizes(&[1, 1]).unwrap();
     let model = Model::Blackboard;
@@ -144,9 +144,11 @@ fn in_process_backend_rejects_kill_plans() {
         max_rounds: 4,
         seed: 0,
     };
-    let _ = SocketBackend::in_process(TIMEOUT)
+    let err = SocketBackend::in_process(TIMEOUT)
         .with_kill(0, 1)
-        .run(&BleChoreo, &job);
+        .run(&BleChoreo, &job)
+        .unwrap_err();
+    assert!(matches!(err, BackendError::KillNeedsSpawn), "got {err:?}");
 }
 
 #[test]

@@ -1,35 +1,40 @@
-//! Bit-identity of the choreography layer against the legacy hand-rolled
-//! nodes.
+//! Golden transcripts of the choreographies.
 //!
-//! For every ported protocol, the projected machine must produce a
-//! [`RunOutcome`] **identical** to the legacy node's — outputs, round
-//! count, completion flag, and message counters — under the same RNG
-//! stream. The stream is pinned two ways:
+//! Every run is folded into an FNV-1a-64 digest — outputs through their
+//! [`Wire`] encodings, then rounds, completion, the [`RunStats`] counters
+//! and the crash flags as little-endian integers — and each
+//! (protocol, model or port numbering, profile, `t`) cell of runs becomes
+//! one line of `golden/transcripts.txt`:
+//!
+//! ```text
+//! key  runs  completed  Σrounds  digest
+//! ```
+//!
+//! The file was recorded from the hand-written protocol nodes the
+//! choreographies replaced, and those nodes and the choreographies
+//! produced it line for line. Matching it is therefore bit-identity with
+//! them: outputs, round counts, completion flags and message counters.
+//! The runs are pinned two ways:
 //!
 //! * exhaustively, over every α-consistent realization with `n ≤ 4`,
 //!   `t ≤ 3` (the realization's bits replayed round-major, source-minor —
 //!   exactly the runner's draw order — then a deterministic continuation
-//!   keyed by the realization index);
+//!   keyed by the realization index), walked in index order;
 //! * statistically, over seeded `StdRng` runs long enough for the
-//!   protocols to decide.
-
-use std::fmt::Debug;
+//!   protocols to decide, one line per run.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use rsbt_protocols::choreo::{
     consensus_choreo, BleChoreo, Choreography, DeputyChoreo, EuclidChoreo, KLeaderChoreo,
-    MatchingChoreo, WsbChoreo,
-};
-use rsbt_protocols::consensus::consensus_node;
-use rsbt_protocols::matching::CreateMatching;
-use rsbt_protocols::{
-    BlackboardLeaderElection, EuclidLeaderElection, KLeaderBlackboard, LeaderAndDeputyBlackboard,
-    WeakSymmetryBreakingBlackboard,
+    MatchingChoreo, NodeOutput, WsbChoreo,
 };
 use rsbt_random::Assignment;
-use rsbt_sim::runner::{run_nodes, run_nodes_with, Protocol, RunOutcome};
+use rsbt_sim::net::Wire;
+use rsbt_sim::runner::{RunOutcome, RunStats};
 use rsbt_sim::{Model, PortNumbering};
+
+const GOLDEN: &str = include_str!("golden/transcripts.txt");
 
 /// Replays the bits of one enumerated realization in the runner's draw
 /// order (round-major, source-minor), then continues with a deterministic
@@ -67,334 +72,266 @@ impl RngCore for TapeRng {
     }
 }
 
-/// Runs a choreography through projection + the simulator, mirroring
-/// `SimBackend` but with a caller-supplied RNG so tapes can be injected.
-fn run_choreo<C: Choreography, R: RngCore>(
+/// FNV-1a-64 over a sequence of run outcomes, plus the cell's run,
+/// completion and round tallies.
+struct Digest {
+    runs: u64,
+    completed: u64,
+    rounds: u64,
+    hash: u64,
+}
+
+impl Digest {
+    fn new() -> Self {
+        Digest {
+            runs: 0,
+            completed: 0,
+            rounds: 0,
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn fold<O: Wire>(&mut self, out: &RunOutcome<O>) {
+        let RunStats {
+            posts,
+            sends,
+            max_msg_bytes,
+            crashes,
+            omissions,
+        } = out.stats;
+        let mut bytes = Vec::new();
+        out.outputs.encode(&mut bytes);
+        for v in [
+            out.rounds as u64,
+            u64::from(out.completed),
+            posts,
+            sends,
+            max_msg_bytes as u64,
+            crashes,
+            omissions,
+        ] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.extend(out.crashed.iter().map(|&c| u8::from(c)));
+        for b in bytes {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        self.runs += 1;
+        self.completed += u64::from(out.completed);
+        self.rounds += out.rounds as u64;
+    }
+
+    fn line(&self, key: &str) -> String {
+        format!(
+            "{key}  {}  {}  {}  {:016x}",
+            self.runs, self.completed, self.rounds, self.hash
+        )
+    }
+}
+
+/// Runs `choreo` once in the simulator on `rng`.
+fn run<C: Choreography, R: RngCore>(
     choreo: &C,
     model: &Model,
     alpha: &Assignment,
     max_rounds: usize,
     rng: &mut R,
-) -> RunOutcome<<C::Node as Protocol>::Output> {
-    let projection = choreo
-        .global()
-        .project(model, alpha.n())
-        .expect("global protocol projects");
-    let nodes: Vec<C::Node> = (0..alpha.n())
-        .map(|i| choreo.node(i, model, &projection))
-        .collect();
-    run_nodes_with(model, alpha, max_rounds, nodes, rng, projection.options())
+) -> RunOutcome<NodeOutput<C>> {
+    choreo
+        .simulate(model, alpha, max_rounds, rng)
+        .expect("global protocol projects")
 }
 
-fn assert_same<O: PartialEq + Debug>(legacy: &RunOutcome<O>, choreo: &RunOutcome<O>, what: &str) {
-    assert_eq!(legacy.outputs, choreo.outputs, "{what}: outputs differ");
-    assert_eq!(legacy.rounds, choreo.rounds, "{what}: rounds differ");
+/// One grid cell: every realization index of the `(k, t)` tree, in order.
+fn cell<C>(
+    key: String,
+    choreo: &C,
+    model: &Model,
+    alpha: &Assignment,
+    t: usize,
+    cap: usize,
+) -> String
+where
+    C: Choreography,
+    NodeOutput<C>: Wire,
+{
+    let k = alpha.k();
+    let mut digest = Digest::new();
+    for index in 0..1u64 << (k * t) {
+        let mut rng = TapeRng::from_tree_index(k, t, index);
+        digest.fold(&run(choreo, model, alpha, cap, &mut rng));
+    }
+    digest.line(&key)
+}
+
+fn sizes(alpha: &Assignment) -> String {
+    let sizes: Vec<String> = alpha.group_sizes().iter().map(usize::to_string).collect();
+    format!("sizes={}", sizes.join("+"))
+}
+
+/// Compares `lines` with the golden lines whose key starts with one of
+/// `prefixes`, naming the first differing key.
+fn assert_golden(prefixes: &[&str], lines: &[String]) {
+    let golden: Vec<&str> = GOLDEN
+        .lines()
+        .filter(|l| prefixes.iter().any(|p| l.starts_with(p)))
+        .collect();
+    for (got, want) in lines.iter().zip(&golden) {
+        let key = want.split_whitespace().next().unwrap_or_default();
+        assert_eq!(got.as_str(), *want, "first differing golden cell: {key}");
+    }
     assert_eq!(
-        legacy.completed, choreo.completed,
-        "{what}: completion differs"
+        lines.len(),
+        golden.len(),
+        "golden cell count differs for {prefixes:?}"
     );
-    assert_eq!(legacy.stats, choreo.stats, "{what}: stats differ");
 }
 
 #[test]
 fn board_elections_match_legacy_over_all_realizations() {
+    let bb = Model::Blackboard;
+    let mut lines = Vec::new();
     for n in 1..=4 {
         for alpha in Assignment::iter_profiles(n) {
-            let k = alpha.k();
+            let s = sizes(&alpha);
             for t in 1..=3usize {
-                for index in 0..1u64 << (k * t) {
-                    let mk = |_| TapeRng::from_tree_index(k, t, index);
-                    let what = |p: &str| {
-                        format!("{p} n={n} sizes={:?} t={t} index={index}", alpha.sources())
-                    };
-
-                    let legacy = run_nodes(
-                        &Model::Blackboard,
-                        &alpha,
-                        64,
-                        (0..n).map(|_| BlackboardLeaderElection::new()).collect(),
-                        &mut mk(()),
-                    );
-                    let choreo =
-                        run_choreo(&BleChoreo, &Model::Blackboard, &alpha, 64, &mut mk(()));
-                    assert_same(&legacy, &choreo, &what("ble"));
-
-                    let legacy = run_nodes(
-                        &Model::Blackboard,
-                        &alpha,
-                        64,
-                        (0..n)
-                            .map(|_| WeakSymmetryBreakingBlackboard::new())
-                            .collect(),
-                        &mut mk(()),
-                    );
-                    let choreo =
-                        run_choreo(&WsbChoreo, &Model::Blackboard, &alpha, 64, &mut mk(()));
-                    assert_same(&legacy, &choreo, &what("wsb"));
-
-                    let legacy = run_nodes(
-                        &Model::Blackboard,
-                        &alpha,
-                        64,
-                        (0..n).map(|_| KLeaderBlackboard::new(2)).collect(),
-                        &mut mk(()),
-                    );
-                    let choreo = run_choreo(
-                        &KLeaderChoreo { k: 2 },
-                        &Model::Blackboard,
-                        &alpha,
-                        64,
-                        &mut mk(()),
-                    );
-                    assert_same(&legacy, &choreo, &what("k-leader"));
-
-                    let legacy = run_nodes(
-                        &Model::Blackboard,
-                        &alpha,
-                        64,
-                        (0..n).map(|_| LeaderAndDeputyBlackboard::new()).collect(),
-                        &mut mk(()),
-                    );
-                    let choreo =
-                        run_choreo(&DeputyChoreo, &Model::Blackboard, &alpha, 64, &mut mk(()));
-                    assert_same(&legacy, &choreo, &what("deputy"));
-                }
+                let key = |p: &str| format!("{p}/bb/{s}/t={t}");
+                lines.push(cell(key("blackboard-le"), &BleChoreo, &bb, &alpha, t, 64));
+                lines.push(cell(key("wsb-bb"), &WsbChoreo, &bb, &alpha, t, 64));
+                let k_leader = KLeaderChoreo { k: 2 };
+                lines.push(cell(key("k-leader-bb"), &k_leader, &bb, &alpha, t, 64));
+                lines.push(cell(key("deputy-bb"), &DeputyChoreo, &bb, &alpha, t, 64));
             }
         }
     }
+    assert_golden(
+        &["blackboard-le/", "wsb-bb/", "k-leader-bb/", "deputy-bb/"],
+        &lines,
+    );
 }
 
 #[test]
 fn euclid_matches_legacy_over_all_realizations_and_port_numberings() {
+    let mut lines = Vec::new();
     for n in 1..=4usize {
         for alpha in Assignment::iter_profiles(n) {
             let k = alpha.k();
-            let mut numberings = vec![PortNumbering::cyclic(n)];
+            let mut numberings = vec![("cyclic", PortNumbering::cyclic(n))];
             if n > 1 {
                 let mut prng = StdRng::seed_from_u64(n as u64);
-                numberings.push(PortNumbering::random(n, &mut prng));
+                numberings.push(("random", PortNumbering::random(n, &mut prng)));
             }
             if n == 4 {
-                numberings.push(PortNumbering::adversarial(4, 2));
+                numberings.push(("adversarial", PortNumbering::adversarial(4, 2)));
             }
-            for ports in numberings {
+            for (name, ports) in numberings {
                 let model = Model::MessagePassing(ports);
                 for t in 1..=3usize {
-                    for index in 0..1u64 << (k * t) {
-                        let legacy = run_nodes(
-                            &model,
-                            &alpha,
-                            256,
-                            (0..n).map(|_| EuclidLeaderElection::new(k)).collect(),
-                            &mut TapeRng::from_tree_index(k, t, index),
-                        );
-                        let choreo = run_choreo(
-                            &EuclidChoreo { k },
-                            &model,
-                            &alpha,
-                            256,
-                            &mut TapeRng::from_tree_index(k, t, index),
-                        );
-                        assert_same(
-                            &legacy,
-                            &choreo,
-                            &format!(
-                                "euclid n={n} sizes={:?} t={t} index={index}",
-                                alpha.sources()
-                            ),
-                        );
-                    }
+                    let key = format!("euclid-le/{name}/{}/t={t}", sizes(&alpha));
+                    lines.push(cell(key, &EuclidChoreo { k }, &model, &alpha, t, 256));
                 }
             }
         }
     }
-}
-
-/// Legacy `CreateMatching` node vector for groups A = first `a`, B = next
-/// `b`, bystanders after — the same layout `MatchingChoreo` uses.
-fn legacy_matching_nodes(a: usize, b: usize, n: usize, model: &Model) -> Vec<CreateMatching> {
-    let ports = model.ports().expect("message passing");
-    (0..n)
-        .map(|i| {
-            if i < a {
-                let b_ports = (a..a + b)
-                    .map(|target| ports.port_towards(i, target))
-                    .collect();
-                CreateMatching::new_a(a, b_ports)
-            } else if i < a + b {
-                CreateMatching::new_b(a)
-            } else {
-                CreateMatching::bystander(a)
-            }
-        })
-        .collect()
+    assert_golden(&["euclid-le/"], &lines);
 }
 
 #[test]
 fn matching_matches_legacy_over_all_realizations() {
+    let mut lines = Vec::new();
     for (a, b, n) in [(1, 1, 2), (1, 2, 3), (1, 1, 3), (2, 2, 4), (1, 2, 4)] {
         for alpha in Assignment::iter_profiles(n) {
-            let k = alpha.k();
             let mut prng = StdRng::seed_from_u64((n + a) as u64);
-            for ports in [
-                PortNumbering::cyclic(n),
-                PortNumbering::random(n, &mut prng),
+            for (name, ports) in [
+                ("cyclic", PortNumbering::cyclic(n)),
+                ("random", PortNumbering::random(n, &mut prng)),
             ] {
                 let model = Model::MessagePassing(ports);
                 for t in 1..=3usize {
-                    for index in 0..1u64 << (k * t) {
-                        let legacy = run_nodes(
-                            &model,
-                            &alpha,
-                            128,
-                            legacy_matching_nodes(a, b, n, &model),
-                            &mut TapeRng::from_tree_index(k, t, index),
-                        );
-                        let choreo = run_choreo(
-                            &MatchingChoreo { a, b },
-                            &model,
-                            &alpha,
-                            128,
-                            &mut TapeRng::from_tree_index(k, t, index),
-                        );
-                        assert_same(
-                            &legacy,
-                            &choreo,
-                            &format!(
-                                "matching a={a} b={b} n={n} sizes={:?} t={t} index={index}",
-                                alpha.sources()
-                            ),
-                        );
-                    }
+                    let key = format!(
+                        "create-matching/a={a},b={b},n={n}/{name}/{}/t={t}",
+                        sizes(&alpha)
+                    );
+                    lines.push(cell(key, &MatchingChoreo { a, b }, &model, &alpha, t, 128));
                 }
             }
         }
     }
+    assert_golden(&["create-matching/"], &lines);
 }
 
 #[test]
 fn consensus_reduction_matches_legacy_on_blackboard() {
     let inputs = [7u64, 3, 9, 3];
+    let mut lines = Vec::new();
     for n in 1..=4usize {
-        let inputs = inputs[..n].to_vec();
+        let choreo = consensus_choreo(BleChoreo, inputs[..n].to_vec());
         for alpha in Assignment::iter_profiles(n) {
-            let k = alpha.k();
             for t in 1..=3usize {
-                for index in 0..1u64 << (k * t) {
-                    let legacy = run_nodes(
-                        &Model::Blackboard,
-                        &alpha,
-                        96,
-                        inputs
-                            .iter()
-                            .map(|&v| consensus_node(BlackboardLeaderElection::new(), v))
-                            .collect(),
-                        &mut TapeRng::from_tree_index(k, t, index),
-                    );
-                    let choreo = run_choreo(
-                        &consensus_choreo(BleChoreo, inputs.clone()),
-                        &Model::Blackboard,
-                        &alpha,
-                        96,
-                        &mut TapeRng::from_tree_index(k, t, index),
-                    );
-                    assert_same(
-                        &legacy,
-                        &choreo,
-                        &format!(
-                            "consensus/bb n={n} sizes={:?} t={t} index={index}",
-                            alpha.sources()
-                        ),
-                    );
-                }
+                let key = format!("consensus/bb/{}/t={t}", sizes(&alpha));
+                lines.push(cell(key, &choreo, &Model::Blackboard, &alpha, t, 96));
             }
         }
     }
+    assert_golden(&["consensus/bb/"], &lines);
 }
 
 #[test]
 fn consensus_reduction_matches_legacy_under_message_passing() {
     let inputs = [5u64, 5, 1, 8];
+    let mut lines = Vec::new();
     for n in 2..=4usize {
-        let inputs = inputs[..n].to_vec();
+        let model = Model::MessagePassing(PortNumbering::cyclic(n));
         for alpha in Assignment::iter_profiles(n) {
-            let k = alpha.k();
-            let model = Model::MessagePassing(PortNumbering::cyclic(n));
+            let choreo = consensus_choreo(EuclidChoreo { k: alpha.k() }, inputs[..n].to_vec());
             for t in 1..=2usize {
-                for index in 0..1u64 << (k * t) {
-                    let legacy = run_nodes(
-                        &model,
-                        &alpha,
-                        256,
-                        inputs
-                            .iter()
-                            .map(|&v| consensus_node(EuclidLeaderElection::new(k), v))
-                            .collect(),
-                        &mut TapeRng::from_tree_index(k, t, index),
-                    );
-                    let choreo = run_choreo(
-                        &consensus_choreo(EuclidChoreo { k }, inputs.clone()),
-                        &model,
-                        &alpha,
-                        256,
-                        &mut TapeRng::from_tree_index(k, t, index),
-                    );
-                    assert_same(
-                        &legacy,
-                        &choreo,
-                        &format!(
-                            "consensus/mp n={n} sizes={:?} t={t} index={index}",
-                            alpha.sources()
-                        ),
-                    );
-                }
+                let key = format!("consensus/mp/cyclic/{}/t={t}", sizes(&alpha));
+                lines.push(cell(key, &choreo, &model, &alpha, t, 256));
             }
         }
     }
+    assert_golden(&["consensus/mp/"], &lines);
 }
 
 #[test]
 fn seeded_long_runs_agree_and_decide() {
     // Statistical leg: long seeded runs where the protocols actually
     // decide, so bit-identity is exercised through decision rounds too.
+    let mut lines = Vec::new();
     for seed in 0..8u64 {
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let legacy = run_nodes(
-            &Model::Blackboard,
-            &alpha,
-            128,
-            (0..3).map(|_| BlackboardLeaderElection::new()).collect(),
-            &mut StdRng::seed_from_u64(seed),
-        );
-        let choreo = run_choreo(
+        let out = run(
             &BleChoreo,
             &Model::Blackboard,
             &alpha,
             128,
             &mut StdRng::seed_from_u64(seed),
         );
-        assert!(legacy.completed, "seed {seed}: ble should decide");
-        assert_same(&legacy, &choreo, &format!("ble seeded run {seed}"));
+        assert!(out.completed, "seed {seed}: ble should decide");
+        let mut digest = Digest::new();
+        digest.fold(&out);
+        lines.push(digest.line(&format!(
+            "seeded/blackboard-le/bb/{}/seed={seed}",
+            sizes(&alpha)
+        )));
 
         let alpha = Assignment::from_group_sizes(&[2, 3]).unwrap();
         let mut prng = StdRng::seed_from_u64(seed ^ 0xabcd);
-        let ports = PortNumbering::random(5, &mut prng);
-        let model = Model::MessagePassing(ports);
-        let legacy = run_nodes(
-            &model,
-            &alpha,
-            6000,
-            (0..5).map(|_| EuclidLeaderElection::new(2)).collect(),
-            &mut StdRng::seed_from_u64(seed),
-        );
-        let choreo = run_choreo(
+        let model = Model::MessagePassing(PortNumbering::random(5, &mut prng));
+        let out = run(
             &EuclidChoreo { k: 2 },
             &model,
             &alpha,
             6000,
             &mut StdRng::seed_from_u64(seed),
         );
-        assert!(legacy.completed, "seed {seed}: euclid should decide");
-        assert_same(&legacy, &choreo, &format!("euclid seeded run {seed}"));
+        assert!(out.completed, "seed {seed}: euclid should decide");
+        let mut digest = Digest::new();
+        digest.fold(&out);
+        lines.push(digest.line(&format!(
+            "seeded/euclid-le/random/{}/seed={seed}",
+            sizes(&alpha)
+        )));
     }
+    assert_golden(&["seeded/"], &lines);
 }

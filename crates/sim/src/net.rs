@@ -342,243 +342,6 @@ fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, NetError> {
     Ok(buf)
 }
 
-/// Accepts exactly `n` node connections and orders them by their handshake
-/// index. Polls a non-blocking listener so the handshake respects the
-/// deadline even if a worker never connects.
-fn accept_nodes(
-    listener: &TcpListener,
-    n: usize,
-    timeout: Option<Duration>,
-) -> Result<Vec<TcpStream>, NetError> {
-    listener.set_nonblocking(true)?;
-    // rsbt-analyze: allow(RSBT-L003): socket handshake deadline, not result data
-    let deadline = timeout.map(|t| Instant::now() + t);
-    let mut slots: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-    let mut accepted = 0;
-    while accepted < n {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(timeout)?;
-                stream.set_nodelay(true).ok();
-                let frame = read_frame(&mut stream)?;
-                let mut buf = frame.as_slice();
-                if u8::decode(&mut buf)? != TAG_HELLO {
-                    return Err(NetError::Protocol("expected handshake frame".into()));
-                }
-                let index = u32::decode(&mut buf)? as usize;
-                if index >= n {
-                    return Err(NetError::Protocol(format!(
-                        "node index {index} out of range"
-                    )));
-                }
-                if slots[index].is_some() {
-                    return Err(NetError::Protocol(format!("duplicate node index {index}")));
-                }
-                slots[index] = Some(stream);
-                accepted += 1;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // rsbt-analyze: allow(RSBT-L003): deadline poll on the accept loop
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Err(NetError::Timeout("node handshake"));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    }
-    listener.set_nonblocking(false)?;
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("all slots filled"))
-        .collect())
-}
-
-/// Runs the coordinator half of a multi-process execution.
-///
-/// Accepts `alpha.n()` node connections on `listener`, then drives the
-/// lockstep rounds: every round it draws one bit per source from `rng`
-/// (identically to [`crate::runner::run_nodes_with`] — same seed, same
-/// outcome), ships each node its bit and its model-typed incoming view,
-/// waits for every reply (the round barrier, bounded by `timeout`), and
-/// routes the outgoing messages for the next round. Terminates when every
-/// node has decided or `max_rounds` is reached, then tells the nodes to
-/// exit.
-///
-/// `stats.max_msg_bytes` measures the *actual* encoded message bytes on
-/// the wire, so a protocol whose [`Protocol::msg_bytes`] returns
-/// [`Wire::wire_len`] reports identical stats under both backends.
-///
-/// # Panics
-///
-/// Panics when `options.full_participation` is violated (the same
-/// release-build invariant as the in-process runner).
-pub fn run_coordinator<M, O, R>(
-    listener: &TcpListener,
-    model: &Model,
-    alpha: &Assignment,
-    max_rounds: usize,
-    rng: &mut R,
-    options: RunOptions,
-    timeout: Option<Duration>,
-) -> Result<RunOutcome<O>, NetError>
-where
-    M: Wire + Ord + Clone + fmt::Debug,
-    O: Wire + Clone + fmt::Debug,
-    R: Rng + ?Sized,
-{
-    let n = alpha.n();
-    if let Model::MessagePassing(p) = model {
-        assert_eq!(p.n(), n, "port numbering covers {} nodes, need {n}", p.n());
-    }
-    let mut streams = accept_nodes(listener, n, timeout)?;
-
-    let model_tag = if model.is_blackboard() {
-        MODEL_BOARD
-    } else {
-        MODEL_PORTS
-    };
-    let mut config = vec![TAG_CONFIG];
-    (n as u32).encode(&mut config);
-    (max_rounds as u32).encode(&mut config);
-    config.push(model_tag);
-    for stream in &mut streams {
-        write_frame(stream, &config)?;
-    }
-
-    let mut board: Vec<(usize, M)> = Vec::new();
-    let mut mailboxes: Vec<Vec<Option<M>>> = vec![vec![None; n.saturating_sub(1)]; n];
-    let mut outputs: Vec<Option<O>> = vec![None; n];
-    let mut rounds = 0;
-    let mut stats = RunStats::default();
-    let check_participation = options.full_participation && model.is_blackboard();
-
-    for round in 1..=max_rounds {
-        rounds = round;
-        let source_bits: Vec<bool> = (0..alpha.k()).map(|_| rng.gen::<bool>()).collect();
-
-        // Ship every node its round frame first, then collect replies:
-        // nodes compute concurrently while the coordinator blocks on the
-        // slowest one (the round barrier).
-        for (i, stream) in streams.iter_mut().enumerate() {
-            let mut payload = vec![TAG_ROUND];
-            (round as u32).encode(&mut payload);
-            source_bits[alpha.source_of(i)].encode(&mut payload);
-            match model {
-                Model::Blackboard => {
-                    let mut view: Vec<M> = board
-                        .iter()
-                        .filter(|(sender, _)| *sender != i)
-                        .map(|(_, m)| m.clone())
-                        .collect();
-                    view.sort();
-                    view.encode(&mut payload);
-                }
-                Model::MessagePassing(_) => {
-                    let slots =
-                        std::mem::replace(&mut mailboxes[i], vec![None; n.saturating_sub(1)]);
-                    slots.encode(&mut payload);
-                }
-            }
-            write_frame(stream, &payload)?;
-        }
-
-        let mut next_board: Vec<(usize, M)> = Vec::new();
-        let mut next_mailboxes: Vec<Vec<Option<M>>> = vec![vec![None; n.saturating_sub(1)]; n];
-        let mut posted = vec![false; n];
-        for (i, stream) in streams.iter_mut().enumerate() {
-            let frame = match read_frame(stream) {
-                Err(NetError::Timeout(_)) => return Err(NetError::Timeout("round barrier reply")),
-                other => other?,
-            };
-            let mut buf = frame.as_slice();
-            if u8::decode(&mut buf)? != TAG_REPLY {
-                return Err(NetError::Protocol(format!(
-                    "node {i}: expected reply frame"
-                )));
-            }
-            let outgoing: Outgoing<M> = decode_outgoing(&mut buf)?;
-            outputs[i] = Option::<O>::decode(&mut buf)?;
-            match (outgoing, model) {
-                (Outgoing::Silent, _) => {}
-                (Outgoing::Post(m), Model::Blackboard) => {
-                    stats.posts += 1;
-                    stats.max_msg_bytes = stats.max_msg_bytes.max(m.wire_len());
-                    posted[i] = true;
-                    next_board.push((i, m));
-                }
-                (Outgoing::Send(msgs), Model::MessagePassing(ports)) => {
-                    for (port, m) in msgs {
-                        if port < 1 || port >= n {
-                            return Err(NetError::Protocol(format!(
-                                "node {i}: port {port} out of range for n={n}"
-                            )));
-                        }
-                        stats.sends += 1;
-                        stats.max_msg_bytes = stats.max_msg_bytes.max(m.wire_len());
-                        let target = ports.neighbor(i, port);
-                        let back = ports.port_towards(target, i);
-                        if next_mailboxes[target][back - 1].is_some() {
-                            return Err(NetError::Protocol(format!(
-                                "node {i}: duplicate message on edge"
-                            )));
-                        }
-                        next_mailboxes[target][back - 1] = Some(m);
-                    }
-                }
-                (Outgoing::Broadcast(m), Model::MessagePassing(ports)) => {
-                    stats.sends += n.saturating_sub(1) as u64;
-                    stats.max_msg_bytes = stats.max_msg_bytes.max(m.wire_len());
-                    for port in 1..n {
-                        let target = ports.neighbor(i, port);
-                        let back = ports.port_towards(target, i);
-                        next_mailboxes[target][back - 1] = Some(m.clone());
-                    }
-                }
-                (out, _) => {
-                    return Err(NetError::Protocol(format!(
-                        "node {i}: outgoing {out:?} does not match model {model}"
-                    )))
-                }
-            }
-        }
-        if check_participation {
-            for (i, posted_i) in posted.iter().enumerate() {
-                let undecided = outputs[i].is_none();
-                assert_eq!(
-                    *posted_i,
-                    undecided,
-                    "full participation violated in round {round}: node {i} {}",
-                    if undecided {
-                        "is undecided but did not post"
-                    } else {
-                        "has decided but posted"
-                    }
-                );
-            }
-        }
-        board = next_board;
-        mailboxes = next_mailboxes;
-
-        if outputs.iter().all(Option::is_some) {
-            break;
-        }
-    }
-
-    for stream in &mut streams {
-        write_frame(stream, &[TAG_FINISH])?;
-    }
-    let completed = outputs.iter().all(Option::is_some);
-    Ok(RunOutcome {
-        outputs,
-        rounds,
-        completed,
-        stats,
-        crashed: vec![false; n],
-    })
-}
-
 /// Retry, backoff, and crash-detection policy for
 /// [`run_coordinator_ft`].
 #[derive(Clone, Copy, Debug)]
@@ -642,11 +405,11 @@ fn read_frame_ft(r: &mut impl Read, ft: &FtConfig) -> Result<Vec<u8>, NetError> 
     }
 }
 
-/// Like [`accept_nodes`], but degrades instead of failing: polls with an
-/// exponentially backed-off interval until `ft.handshake_timeout`, then
-/// returns whatever connected — missing slots are `None` (declared
-/// crashed at round 0 by the caller) rather than a fatal
-/// [`NetError::Timeout`].
+/// Accepts up to `n` node connections and orders them by their handshake
+/// index. Polls a non-blocking listener with an exponentially backed-off
+/// interval until `ft.handshake_timeout`, then returns whatever connected
+/// — missing slots are `None` (declared crashed at round 0 by the caller)
+/// rather than a fatal [`NetError::Timeout`].
 fn accept_nodes_ft(
     listener: &TcpListener,
     n: usize,
@@ -697,18 +460,25 @@ fn accept_nodes_ft(
     Ok(slots)
 }
 
-/// Fault-tolerant variant of [`run_coordinator`]: instead of aborting the
-/// run, a node that misses its deadlines is declared **crashed** and the
-/// run degrades gracefully to a partial [`RunOutcome`].
+/// Runs the coordinator half of a multi-process execution.
 ///
-/// Differences from the strict coordinator:
+/// Accepts up to `alpha.n()` node connections on `listener`, then drives
+/// the lockstep rounds: every round it draws one bit per source from `rng`
+/// (identically to [`crate::runner::run_nodes_with`] — same seed, same
+/// outcome), ships each node its bit and its model-typed incoming view,
+/// waits for every reply (the round barrier), and routes the outgoing
+/// messages for the next round. Terminates when every live node has
+/// decided or `max_rounds` is reached, then tells the nodes to exit.
+///
+/// A node that misses its deadlines is declared **crashed** and the run
+/// degrades to a partial [`RunOutcome`] instead of failing:
 ///
 /// * the handshake accepts whoever connects before
 ///   [`FtConfig::handshake_timeout`]; missing nodes start crashed;
 /// * a round-barrier read retries up to [`FtConfig::retries`] times with
 ///   saturating exponential backoff; exhaustion, EOF, or any socket error
 ///   declares the node crashed (recorded in [`RunStats::crashes`] and
-///   [`RunOutcome::crashed`]) — never a fatal error;
+///   [`RunOutcome::crashed`]);
 /// * crashed nodes receive no further frames, their queued mail is
 ///   dropped, their output is reported `None` even if they had decided
 ///   earlier, and completion covers the live nodes only;
@@ -716,15 +486,24 @@ fn accept_nodes_ft(
 ///   sent — the hook the choreography backend uses to kill a worker
 ///   process mid-run and prove the degradation path.
 ///
-/// With responsive nodes the RNG draw order, message routing, and
-/// counters are identical to [`run_coordinator`] (one bit per source per
-/// round, drawn before any send), so estimates stay bit-identical when a
-/// backend switches to the fault-tolerant path.
+/// The bits are drawn before any send, faults or not, so with responsive
+/// nodes outputs, rounds and counters are bit-identical to the in-process
+/// runner. `stats.max_msg_bytes` measures the *actual* encoded message
+/// bytes on the wire, so a protocol whose [`Protocol::msg_bytes`] returns
+/// [`Wire::wire_len`] reports identical stats under both.
+///
+/// # Errors
+///
+/// [`NetError::Protocol`] when a live node sends a malformed or
+/// protocol-violating frame — including, under
+/// `options.full_participation` on a blackboard, a node that posts after
+/// deciding or stays silent while undecided (the error names the node and
+/// the round); socket errors on the listener itself.
 ///
 /// # Panics
 ///
-/// Panics when `options.full_participation` is violated by a *live* node
-/// (crashed nodes are exempt).
+/// Panics when a message-passing model's port numbering does not cover
+/// `alpha.n()` nodes.
 #[allow(clippy::too_many_arguments)]
 pub fn run_coordinator_ft<M, O, R, C>(
     listener: &TcpListener,
@@ -778,7 +557,7 @@ where
         on_round(round);
         rounds = round;
         // Drawn before any send, faults or not: keeps the stream aligned
-        // with the strict coordinator and the in-process runner.
+        // with the in-process runner.
         let source_bits: Vec<bool> = (0..alpha.k()).map(|_| rng.gen::<bool>()).collect();
 
         for i in 0..n {
@@ -886,16 +665,16 @@ where
                     continue;
                 }
                 let undecided = outputs[i].is_none();
-                assert_eq!(
-                    *posted_i,
-                    undecided,
-                    "full participation violated in round {round}: node {i} {}",
-                    if undecided {
-                        "is undecided but did not post"
-                    } else {
-                        "has decided but posted"
-                    }
-                );
+                if *posted_i != undecided {
+                    return Err(NetError::Protocol(format!(
+                        "node {i}, round {round}: full participation violated: {}",
+                        if undecided {
+                            "undecided but did not post"
+                        } else {
+                            "decided but posted"
+                        }
+                    )));
+                }
             }
         }
         board = next_board;
@@ -1003,19 +782,26 @@ where
 }
 
 /// Runs a protocol as `n` real TCP peers on loopback, one thread per node,
-/// with the coordinator on the calling thread.
+/// with the coordinator ([`run_coordinator_ft`]) on the calling thread.
 ///
 /// This exercises the full wire path (handshake, round barriers, framing)
-/// inside one process; `make(i)` builds node `i`. The spawn-per-process
+/// inside one process; `make(i)` builds node `i`. `timeout` is every
+/// node's read deadline and the coordinator's handshake and per-read
+/// round deadline ([`FtConfig::with_timeout`]). The spawn-per-process
 /// variant lives in the choreography layer's socket backend, which shells
-/// out to worker binaries and drives this module's [`run_coordinator`].
+/// out to worker binaries and drives [`run_coordinator_ft`] directly.
+///
+/// # Errors
+///
+/// As [`run_coordinator_ft`], plus socket errors binding the loopback
+/// listener.
 pub fn run_local<P, F, R>(
     model: &Model,
     alpha: &Assignment,
     max_rounds: usize,
     rng: &mut R,
     options: RunOptions,
-    timeout: Option<Duration>,
+    timeout: Duration,
     make: F,
 ) -> Result<RunOutcome<P::Output>, NetError>
 where
@@ -1027,20 +813,27 @@ where
 {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
     let addr = listener.local_addr()?;
-    let n = alpha.n();
+    let ft = FtConfig::with_timeout(timeout);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
+        let handles: Vec<_> = (0..alpha.n())
             .map(|i| {
                 let node = make(i);
-                scope.spawn(move || run_node(addr, i, node, timeout))
+                scope.spawn(move || run_node(addr, i, node, Some(timeout)))
             })
             .collect();
-        let result = run_coordinator::<P::Msg, P::Output, _>(
-            &listener, model, alpha, max_rounds, rng, options, timeout,
+        let result = run_coordinator_ft::<P::Msg, P::Output, _, _>(
+            &listener,
+            model,
+            alpha,
+            max_rounds,
+            rng,
+            options,
+            &ft,
+            |_| {},
         );
         for handle in handles {
             // Worker errors are secondary: the coordinator result already
-            // reflects any failed round.
+            // reflects any failed or crashed node.
             let _ = handle.join();
         }
         result
@@ -1154,7 +947,7 @@ mod tests {
                 6,
                 &mut net_rng,
                 RunOptions::default(),
-                Some(Duration::from_secs(10)),
+                Duration::from_secs(10),
                 |_| PostBit::default(),
             )
             .expect("loopback run");
@@ -1209,7 +1002,7 @@ mod tests {
             4,
             &mut net_rng,
             RunOptions::default(),
-            Some(Duration::from_secs(10)),
+            Duration::from_secs(10),
             |_| NetEcho::default(),
         )
         .expect("loopback run");
@@ -1219,53 +1012,10 @@ mod tests {
     }
 
     #[test]
-    fn ft_coordinator_matches_strict_without_faults() {
-        // With responsive nodes the fault-tolerant coordinator must be
-        // indistinguishable from the strict one (and from the simulator):
-        // same RNG draws, same outputs, same counters.
-        let alpha = Assignment::private(4);
-        for seed in 0..4 {
-            let mut sim_rng = StdRng::seed_from_u64(seed);
-            let sim = crate::runner::run(
-                &Model::Blackboard,
-                &alpha,
-                6,
-                PostBit::default,
-                &mut sim_rng,
-            );
-            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-            let addr = listener.local_addr().unwrap();
-            let mut net_rng = StdRng::seed_from_u64(seed);
-            let net = std::thread::scope(|scope| {
-                for i in 0..4 {
-                    scope.spawn(move || {
-                        run_node(addr, i, PostBit::default(), Some(Duration::from_secs(10)))
-                    });
-                }
-                run_coordinator_ft::<bool, Vec<bool>, _, _>(
-                    &listener,
-                    &Model::Blackboard,
-                    &alpha,
-                    6,
-                    &mut net_rng,
-                    RunOptions::default(),
-                    &FtConfig::with_timeout(Duration::from_secs(10)),
-                    |_| {},
-                )
-            })
-            .expect("loopback run");
-            assert_eq!(net.outputs, sim.outputs);
-            assert_eq!(net.rounds, sim.rounds);
-            assert_eq!(net.stats, sim.stats);
-            assert!(net.crashed.iter().all(|&c| !c));
-        }
-    }
-
-    #[test]
     fn ft_coordinator_survives_mid_run_death() {
-        // Node 2 replies to round 1 and then silently dies. The strict
-        // coordinator would abort the whole run; the fault-tolerant one
-        // must declare it crashed and let the survivors decide.
+        // Node 2 replies to round 1 and then silently dies. The
+        // coordinator must declare it crashed and let the survivors
+        // decide instead of aborting the run.
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
         let alpha = Assignment::private(3);
@@ -1361,20 +1111,64 @@ mod tests {
     }
 
     #[test]
-    fn handshake_times_out_without_workers() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let alpha = Assignment::private(2);
-        let mut rng = StdRng::seed_from_u64(0);
-        let err = run_coordinator::<bool, bool, _>(
-            &listener,
-            &Model::Blackboard,
-            &alpha,
-            3,
-            &mut rng,
-            RunOptions::default(),
-            Some(Duration::from_millis(50)),
-        )
-        .unwrap_err();
-        assert!(matches!(err, NetError::Timeout(_)), "got {err:?}");
+    fn ft_coordinator_rejects_participation_violations() {
+        // A remote peer breaking full participation is a protocol error
+        // naming the node and round, never a coordinator panic. Node 1 is
+        // a raw-frame peer replying to round 1 with `(post, decision)`.
+        for (post, decision, what) in [
+            (false, None, "undecided but did not post"),
+            (true, Some(vec![true]), "decided but posted"),
+        ] {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let alpha = Assignment::private(2);
+            let mut rng = StdRng::seed_from_u64(11);
+            let options = RunOptions {
+                full_participation: true,
+            };
+            let ft = FtConfig::with_timeout(Duration::from_secs(5));
+            let err = std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    run_node(addr, 0, PostBit::default(), Some(Duration::from_secs(5)))
+                });
+                scope.spawn(move || -> Result<(), NetError> {
+                    let mut stream = TcpStream::connect(addr)?;
+                    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+                    let mut hello = vec![TAG_HELLO];
+                    1u32.encode(&mut hello);
+                    write_frame(&mut stream, &hello)?;
+                    let _config = read_frame(&mut stream)?;
+                    let _round = read_frame(&mut stream)?;
+                    let mut reply = vec![TAG_REPLY];
+                    let outgoing = if post {
+                        Outgoing::Post(true)
+                    } else {
+                        Outgoing::Silent
+                    };
+                    encode_outgoing(&outgoing, &mut reply);
+                    decision.encode(&mut reply);
+                    write_frame(&mut stream, &reply)?;
+                    // Wait for the coordinator to hang up.
+                    let _ = read_frame(&mut stream);
+                    Ok(())
+                });
+                run_coordinator_ft::<bool, Vec<bool>, _, _>(
+                    &listener,
+                    &Model::Blackboard,
+                    &alpha,
+                    6,
+                    &mut rng,
+                    options,
+                    &ft,
+                    |_| {},
+                )
+            })
+            .unwrap_err();
+            let NetError::Protocol(msg) = err else {
+                panic!("expected a protocol error, got {err:?}");
+            };
+            assert!(msg.contains("node 1, round 1"), "{msg}");
+            assert!(msg.contains(what), "{msg}");
+        }
     }
 }

@@ -147,20 +147,16 @@ fn lemma_4_3_sweep() {
 fn protocol_agrees_with_framework_blackboard() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rsbt::protocols::{leader_count, BlackboardLeaderElection};
-    use rsbt::sim::runner;
+    use rsbt::protocols::choreo::{BleChoreo, Choreography};
+    use rsbt::protocols::leader_count;
 
     let mut rng = StdRng::seed_from_u64(77);
     for n in 2..=5usize {
         for alpha in Assignment::iter_profiles(n) {
             let solvable = eventual::blackboard_eventually_solvable(&alpha);
-            let out = runner::run(
-                &Model::Blackboard,
-                &alpha,
-                256,
-                BlackboardLeaderElection::new,
-                &mut rng,
-            );
+            let out = BleChoreo
+                .simulate(&Model::Blackboard, &alpha, 256, &mut rng)
+                .expect("election projects onto the blackboard");
             if solvable {
                 assert!(out.completed, "profile {:?}", alpha.group_sizes());
                 assert_eq!(leader_count(&out.outputs), 1);
@@ -177,8 +173,8 @@ fn protocol_agrees_with_framework_blackboard() {
 fn protocol_agrees_with_framework_message_passing() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rsbt::protocols::{leader_count, EuclidLeaderElection};
-    use rsbt::sim::runner;
+    use rsbt::protocols::choreo::{Choreography, EuclidChoreo};
+    use rsbt::protocols::leader_count;
 
     let mut rng = StdRng::seed_from_u64(99);
     for sizes in [
@@ -192,13 +188,9 @@ fn protocol_agrees_with_framework_message_passing() {
         let n = alpha.n();
         let g = alpha.gcd_of_group_sizes();
         let ports = PortNumbering::adversarial(n, g as usize);
-        let out = runner::run(
-            &Model::MessagePassing(ports),
-            &alpha,
-            6000,
-            || EuclidLeaderElection::new(sizes.len()),
-            &mut rng,
-        );
+        let out = EuclidChoreo { k: sizes.len() }
+            .simulate(&Model::MessagePassing(ports), &alpha, 6000, &mut rng)
+            .expect("Euclid election projects onto message passing");
         if eventual::message_passing_worst_case_solvable(&alpha) {
             assert!(out.completed, "sizes {sizes:?}");
             assert_eq!(leader_count(&out.outputs), 1, "sizes {sizes:?}");
