@@ -8,8 +8,8 @@
 //!
 //! | rule | what it checks |
 //! |------|----------------|
-//! | `RSBT-B001` | the file exists, parses, and satisfies the v2 schema |
-//! | `RSBT-B002` | the document's `experiment` matches the file name, and the schema tag is exactly v2 (no silent v1 downgrades) |
+//! | `RSBT-B001` | the file exists, parses, and satisfies the v2 schema (a v1-tagged document fails here) |
+//! | `RSBT-B002` | the document's `experiment` matches the file name |
 //! | `RSBT-B003` | on every Monte-Carlo row, the Wilson bounds bracket the estimate pointwise (`ci_lo ≤ series ≤ ci_hi`) |
 //! | `RSBT-B004` | every exact/exact-dp series is monotone non-decreasing in `t` (success-by-round-`t` is cumulative) |
 //! | `RSBT-B005` | every faulted sweep row pairs with a fault-free base row — same `(model, task, n, k, sizes)` key — in its sweep |
@@ -19,7 +19,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use rsbt_bench::report::{validate, Json, SCHEMA};
+use rsbt_bench::report::{validate, Json};
 
 use crate::Finding;
 
@@ -108,15 +108,6 @@ pub fn audit_doc(file: &str, experiment: &str, doc: &Json) -> (Vec<Finding>, usi
     }
 
     // B002: identity.
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        Some(s) => findings.push(Finding::domain(
-            "RSBT-B002",
-            file.to_string(),
-            format!("schema tag is '{s}', committed baselines must be '{SCHEMA}'"),
-        )),
-        None => unreachable!("validate() checked the schema tag"),
-    }
     match doc.get("experiment").and_then(Json::as_str) {
         Some(e) if e == experiment => {}
         other => findings.push(Finding::domain(
@@ -303,6 +294,7 @@ fn audit_fault_pairing(file: &str, label: &str, rows: &[Json], findings: &mut Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsbt_bench::report::SCHEMA;
 
     fn rules(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
@@ -395,6 +387,15 @@ mod tests {
         let d = doc("wrong-name", vec![]);
         let (findings, _) = audit_doc("BENCH_faults.json", "faults", &d);
         assert!(rules(&findings).contains(&"RSBT-B002"), "{findings:#?}");
+
+        // A v1-tagged document fails schema validation (B001).
+        let mut v1 = doc("faults", vec![row("exact", &[0.25, 0.5], None)]);
+        if let Json::Obj(pairs) = &mut v1 {
+            pairs[0].1 = Json::Str("rsbt-bench-report/v1".into());
+        }
+        let (findings, rows) = audit_doc("BENCH_faults.json", "faults", &v1);
+        assert_eq!(rules(&findings), vec!["RSBT-B001"], "{findings:#?}");
+        assert_eq!(rows, 0);
     }
 
     #[test]

@@ -52,13 +52,8 @@ fn series_comparison(rep_table: &mut Table) -> (f64, f64) {
         // The PR 3 tree engine, called directly (the public entry points
         // now dispatch to the quotient engine).
         let start = Instant::now();
-        let tree_counts = engine::solved_counts(
-            &Model::Blackboard,
-            &LeaderElection,
-            &alpha,
-            t_max,
-            &mut KnowledgeArena::new(),
-        );
+        let (tree_counts, _) =
+            engine::solved_counts(&Model::Blackboard, &LeaderElection, &alpha, t_max, None);
         let tree_ms = start.elapsed().as_secs_f64() * 1e3;
         let tree: Vec<f64> = tree_counts
             .iter()

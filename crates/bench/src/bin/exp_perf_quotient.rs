@@ -23,10 +23,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use rsbt_bench::{fmt_sizes, run_experiment, Table};
-use rsbt_core::engine::{self, SolvabilityMemo, TaskKernel};
+use rsbt_core::engine;
 use rsbt_core::engine_dp::{self, DpStats};
 use rsbt_random::Assignment;
-use rsbt_sim::{FaultSchedule, KnowledgeArena, Model};
+use rsbt_sim::{FaultSchedule, Model};
 use rsbt_tasks::{KLeaderElection, LeaderElection, Task};
 
 /// Repetitions for DP timings, reported as the **minimum** per-call time.
@@ -148,8 +148,7 @@ impl Totals {
     }
 }
 
-/// The tree engine through its shard entry point, so the bin owns the
-/// [`SolvabilityMemo`] and can report its hit counters.
+/// The tree engine's solved counts, adding its memo hits to `totals`.
 fn tree_counts<T: Task + ?Sized>(
     model: &Model,
     task: &T,
@@ -157,23 +156,7 @@ fn tree_counts<T: Task + ?Sized>(
     t_max: usize,
     totals: &mut Totals,
 ) -> Vec<u64> {
-    let table = engine::fallback_table(task, alpha.n());
-    let kernel = match table.as_ref() {
-        Some(table) => TaskKernel::new(task, table),
-        None => TaskKernel::closed_form_only(task),
-    };
-    let mut memo = SolvabilityMemo::new();
-    let counts = engine::solved_counts_shard(
-        model,
-        &kernel,
-        alpha,
-        t_max,
-        0,
-        0,
-        1,
-        &mut KnowledgeArena::new(),
-        &mut memo,
-    );
+    let (counts, memo) = engine::solved_counts(model, task, alpha, t_max, None);
     totals.memo_hits += memo.memo_hits();
     counts
 }
@@ -256,14 +239,7 @@ fn faulted_check(table: &mut Table, threads: usize, totals: &mut Totals) {
             Model::Blackboard
         };
         let start = Instant::now();
-        let tree = engine::solved_counts_faulted(
-            &model,
-            &LeaderElection,
-            &alpha,
-            t_max,
-            &sched,
-            &mut KnowledgeArena::new(),
-        );
+        let (tree, _) = engine::solved_counts(&model, &LeaderElection, &alpha, t_max, Some(&sched));
         let tree_ms = start.elapsed().as_secs_f64() * 1e3;
         let ((dp, stats), dp_ms) = time_min(|| {
             engine_dp::solved_series_faulted_with_stats(

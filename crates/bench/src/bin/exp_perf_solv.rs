@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use rsbt_bench::{run_experiment, Table};
-use rsbt_core::engine::{self, SolvabilityMemo, TaskKernel};
+use rsbt_core::engine;
 use rsbt_core::output_cache::{build_output_table, OutputComplexCache};
 use rsbt_core::{probability, solvability};
 use rsbt_random::{Assignment, BitString, Realization};
@@ -225,28 +225,16 @@ fn engine_integration(table: &mut Table) -> (u64, u64) {
             "engine diverged from reference at k*t = 16 for {}",
             task.name()
         );
-        // Re-run the traversal with an owned memo to read its counters.
-        let output_table = build_output_table(task.as_ref(), alpha.n());
-        let kernel = TaskKernel::new(task.as_ref(), &output_table);
-        let mut memo = SolvabilityMemo::new();
-        let counts = engine::solved_counts_shard(
-            &Model::Blackboard,
-            &kernel,
-            &alpha,
-            t_max,
-            0,
-            0,
-            1,
-            &mut KnowledgeArena::new(),
-            &mut memo,
-        );
+        // Re-run the tree traversal to read its memo counters.
+        let (counts, memo) =
+            engine::solved_counts(&Model::Blackboard, task.as_ref(), &alpha, t_max, None);
         assert_eq!(
-            // u128 like the probability-side tally divisions: the shard
+            // u128 like the probability-side tally divisions: the tree
             // engine's k*t <= 62 assert bounds the count, but the
             // denominator shift must not be what pins the wall.
             counts[t_max - 1] as f64 / (1u128 << (alpha.k() * t_max)) as f64,
             *engine_series.last().unwrap(),
-            "shard traversal reproduces the series tail"
+            "tree traversal reproduces the series tail"
         );
         closed_total += memo.closed_form_verdicts();
         dense_total += memo.dense_scan_verdicts();

@@ -10,7 +10,7 @@
 //! [`run_experiment`] parses the shared CLI (`--json <path>`,
 //! `--threads <n>`), hands the bin a [`SweepEngine`] (memoizing
 //! probability cache plus parallel fan-out) and a [`Report`] (text
-//! rendering plus `rsbt-bench-report/v1` JSON), prints the text form, and
+//! rendering plus `rsbt-bench-report/v2` JSON), prints the text form, and
 //! writes the schema-validated JSON when requested.
 
 #![deny(deprecated)]
@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 pub use crate::proto::{counters_table, ProtoMc, ProtoMcPoint};
-pub use crate::report::{Json, Report, Section, SCHEMA, SCHEMA_V1};
+pub use crate::report::{Json, Report, Section, SCHEMA};
 pub use crate::sweep::{
     default_threads, standard_table, McRow, McSweep, ModelSpec, RowMode, SweepEngine, SweepRow,
     SweepSpec, TaskSpec,
@@ -200,7 +200,7 @@ pub fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<ExpArgs, String
 /// The common entry point of every experiment binary: parses the shared
 /// CLI, runs `body` with a [`SweepEngine`] and an empty [`Report`], prints
 /// the report's text rendering, and — with `--json <path>` — writes the
-/// schema-validated `rsbt-bench-report/v1` document.
+/// schema-validated `rsbt-bench-report/v2` document.
 pub fn run_experiment<F>(experiment: &str, title: &str, paper_ref: &str, body: F) -> ExitCode
 where
     F: FnOnce(&mut SweepEngine, &mut Report),

@@ -1,6 +1,5 @@
 //! Structured experiment reports: human-readable text and a stable,
-//! machine-readable JSON schema (`rsbt-bench-report/v2`, with a
-//! v1-compat validation path for pre-estimator baselines).
+//! machine-readable JSON schema (`rsbt-bench-report/v2`).
 //!
 //! Every `exp_*` binary builds a [`Report`] through the sweep-engine
 //! harness ([`crate::run_experiment`]); `--json <path>` serializes it. The
@@ -10,14 +9,12 @@
 //! in shortest round-trip form, so committed `BENCH_*.json` baselines diff
 //! cleanly across PRs.
 //!
-//! **v2 over v1**: sweep rows carry a `mode` field (`"exact"`,
-//! `"exact-dp"` for exact rows past the tree-engine wall that only the
-//! quotient DP engine reaches, or `"mc"`), and Monte-Carlo rows add
-//! `samples`, `seed`, `ci_lo`, and
-//! `ci_hi` (per-`t` Wilson bounds parallel to `series`). v1 documents —
-//! exact-only rows, no `mode` — still [`validate`] (the parser never
-//! depended on the schema tag), so earlier committed baselines remain
-//! readable.
+//! Sweep rows carry a `mode` field (`"exact"`, `"exact-dp"` for exact
+//! rows past the tree-engine wall that only the quotient DP engine
+//! reaches, or `"mc"`), and Monte-Carlo rows add `samples`, `seed`,
+//! `ci_lo`, and `ci_hi` (per-`t` Wilson bounds parallel to `series`).
+//! The pre-estimator v1 schema (exact-only rows, no `mode`) is retired:
+//! [`validate`] rejects its tag.
 
 use std::fmt::Write as _;
 use std::io;
@@ -29,10 +26,6 @@ use crate::Table;
 /// The identifier every freshly-written report carries in its `schema`
 /// field.
 pub const SCHEMA: &str = "rsbt-bench-report/v2";
-
-/// The pre-estimator schema identifier; [`validate`] still accepts it
-/// (exact-only rows) so committed v1 baselines stay parseable.
-pub const SCHEMA_V1: &str = "rsbt-bench-report/v1";
 
 /// A JSON value with deterministic (insertion-ordered) objects.
 #[derive(Clone, Debug, PartialEq)]
@@ -530,7 +523,7 @@ impl Report {
         out
     }
 
-    /// Serializes to the `rsbt-bench-report/v1` JSON document.
+    /// Serializes to the `rsbt-bench-report/v2` JSON document.
     pub fn to_json(&self) -> Json {
         let mut top = vec![
             ("schema".to_string(), Json::Str(SCHEMA.into())),
@@ -596,7 +589,7 @@ impl Report {
     /// that is a bug in the report builder, never a user error.
     pub fn write_json(&self, path: &Path) -> io::Result<()> {
         let json = self.to_json();
-        validate(&json).expect("generated report must satisfy the v1 schema");
+        validate(&json).expect("generated report must satisfy the v2 schema");
         std::fs::write(path, json.to_pretty_string())
     }
 }
@@ -619,9 +612,7 @@ fn table_json(t: &Table) -> Json {
     ])
 }
 
-/// Validates a document against the `rsbt-bench-report/v2` schema (or
-/// the v1 schema, for pre-estimator baselines: v1 rows must be
-/// exact-only and may not carry estimator fields).
+/// Validates a document against the `rsbt-bench-report/v2` schema.
 ///
 /// # Errors
 ///
@@ -633,15 +624,9 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             _ => Err(format!("top-level '{key}' must be a string")),
         }
     };
-    let v1 = match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => false,
-        Some(s) if s == SCHEMA_V1 => true,
-        _ => {
-            return Err(format!(
-                "schema field must be '{SCHEMA}' (or '{SCHEMA_V1}')"
-            ))
-        }
-    };
+    if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
+        return Err(format!("schema field must be '{SCHEMA}'"));
+    }
     need_str("experiment")?;
     need_str("title")?;
     need_str("paper_ref")?;
@@ -697,7 +682,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
                 .and_then(Json::as_arr)
                 .ok_or_else(|| at("sweep missing 'rows'"))?;
             for row in rows {
-                validate_sweep_row(row, v1).map_err(|e| at(&e))?;
+                validate_sweep_row(row).map_err(|e| at(&e))?;
             }
         }
         let notes = section
@@ -711,7 +696,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn validate_sweep_row(row: &Json, v1: bool) -> Result<(), String> {
+fn validate_sweep_row(row: &Json) -> Result<(), String> {
     for key in ["model", "task", "limit"] {
         if !matches!(row.get(key), Some(Json::Str(_))) {
             return Err(format!("sweep row missing string '{key}'"));
@@ -756,18 +741,8 @@ fn validate_sweep_row(row: &Json, v1: bool) -> Result<(), String> {
     if row.get("crash").is_some() != row.get("omission").is_some() {
         return Err("sweep row fault rates must come as a crash/omission pair".into());
     }
-    // Estimator fields (v2): a `mode` discriminator on every row, and the
-    // Monte-Carlo companion fields on `"mc"` rows only. v1 rows are
-    // exact-only and must not carry any of them.
-    let estimator_keys = ["mode", "samples", "seed", "ci_lo", "ci_hi"];
-    if v1 {
-        for key in estimator_keys {
-            if row.get(key).is_some() {
-                return Err(format!("v1 sweep row must not carry '{key}'"));
-            }
-        }
-        return Ok(());
-    }
+    // Estimator fields: a `mode` discriminator on every row, and the
+    // Monte-Carlo companion fields on `"mc"` rows only.
     // "exact-dp" rows are exact-like: integer-count series from the
     // quotient DP engine past the tree wall — a provenance tag, not an
     // estimator, so they must not carry the Monte-Carlo companions.
@@ -1039,32 +1014,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_stay_valid_but_estimator_fields_are_rejected() {
-        // A v1 row: no mode, no estimator fields — must validate.
-        let v1_row = without(&mc_row(), &["mode", "samples", "seed", "ci_lo", "ci_hi"]);
-        validate(&doc_with_row(SCHEMA_V1, v1_row.clone())).unwrap();
-        // The same row under the v2 tag lacks `mode` — rejected.
-        assert!(validate(&doc_with_row(SCHEMA, v1_row)).is_err());
-        // A v1 document carrying v2 fields is rejected.
-        let e = validate(&doc_with_row(SCHEMA_V1, mc_row()));
-        assert!(e.unwrap_err().contains("v1"));
-        // Unknown schema tags are rejected.
-        assert!(validate(&doc_with_row("rsbt-bench-report/v3", mc_row())).is_err());
-    }
-
-    #[test]
     fn validate_flags_schema_violations() {
         let mut report = Report::new("demo", "t", "r");
         report.section("s").note("n");
         let good = report.to_json();
         validate(&good).unwrap();
 
-        // Wrong schema tag.
-        let mut bad = good.clone();
-        if let Json::Obj(pairs) = &mut bad {
-            pairs[0].1 = Json::Str("something-else".into());
+        // Wrong schema tag, including the retired v1 tag.
+        for tag in ["something-else", "rsbt-bench-report/v1"] {
+            let mut bad = good.clone();
+            if let Json::Obj(pairs) = &mut bad {
+                pairs[0].1 = Json::Str(tag.into());
+            }
+            assert!(validate(&bad).is_err(), "{tag}");
         }
-        assert!(validate(&bad).is_err());
 
         // Ragged table row.
         let mut report = Report::new("demo", "t", "r");

@@ -10,7 +10,7 @@
 //!   across report sections (and across specs in one binary) are computed
 //!   once;
 //! * **parallel fan-out** — uncached points are split into contiguous
-//!   chunks over [`rsbt_sim::pool::map_with_arena`] workers and merged
+//!   chunks over [`rsbt_sim::pool::map_items`] workers and merged
 //!   back in deterministic point order, never completion order;
 //! * **one-pass series** — a worker computes each point's whole
 //!   `p(1..t_max)` series from a *single*
@@ -735,7 +735,7 @@ impl SweepEngine {
         // Parallel fan-out: each worker runs ONE exact dispatch per point
         // (deep enough for the deepest missing t), reading the whole
         // series off the per-depth tallies — never one computation per t.
-        let computed = pool::map_with_arena(&missing, self.threads, |_, (p, ts)| {
+        let computed = pool::map_items(&missing, self.threads, |(p, ts)| {
             let deepest = *ts.last().expect("missing points have at least one t");
             probability::exact_series(&p.model, p.task.as_ref(), &p.alpha, deepest)
         });

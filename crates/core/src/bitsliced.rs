@@ -44,7 +44,7 @@ use rsbt_random::Assignment;
 use rsbt_sim::{pool, FaultSchedule, FaultSpec, LaneStepper, Model};
 use rsbt_tasks::{Task, VerdictPlan};
 
-use crate::engine::{self, SolvabilityMemo, TaskKernel};
+use crate::engine;
 use crate::probability::{check_mc_args, Estimate, McStats, SampleKernel};
 
 /// Bit-sliced `p̂(1), …, p̂(t_max)` from one sampling pass, with the
@@ -150,66 +150,41 @@ where
     // (model, alpha) — and of whether faults are in play: silence is
     // per-node, so the faulted stepper tracks every node as its own
     // unit instead of collapsing source groups.
-    let probe = match faults {
+    let stepper = match faults {
         None => LaneStepper::new(model, alpha),
         Some(_) => LaneStepper::new_faulted(model, alpha),
     };
-    let plan = task.lane_plan(probe.unit_of_node(), probe.units());
+    let plan = task.lane_plan(stepper.unit_of_node(), stepper.units());
     // The dense fallback is only reachable from the peel path.
     let table = if plan.is_some() {
         None
     } else {
         engine::fallback_table(task, alpha.n())
     };
-    let per_chunk = pool::map_sample_chunks_aligned(samples, threads, 64, |arena, range| {
+    let per_chunk = pool::map_sample_chunks_aligned(samples, threads, 64, |range| {
         let mut first_solved = vec![0u64; t_max];
         let mut stats = McStats::default();
-        match (plan.as_ref(), faults) {
-            (Some(plan), None) => run_plan_words(
-                model,
+        match plan.as_ref() {
+            Some(plan) => run_plan_words(
+                stepper.clone(),
                 alpha,
                 plan,
                 t_max,
                 seed,
+                faults,
                 &range,
                 &mut first_solved,
                 &mut stats,
             ),
-            (Some(plan), Some(spec)) => run_plan_words_faulted(
-                model,
-                alpha,
-                plan,
-                t_max,
-                seed,
-                spec,
-                &range,
-                &mut first_solved,
-                &mut stats,
-            ),
-            (None, _) => {
-                let kernel = match table.as_ref() {
-                    Some(table) => TaskKernel::new(task, table),
-                    None => TaskKernel::closed_form_only(task),
-                };
-                let mut memo = SolvabilityMemo::new();
-                let mut sampler = SampleKernel::new(model, kernel, alpha, t_max, arena);
-                let mut schedule = FaultSchedule::empty(alpha.n(), t_max);
-                for i in range.clone() {
-                    let mut rng = StreamRng::new(seed, i as u64);
-                    let first = match faults {
-                        None => sampler.first_solving_round(&mut rng, &mut memo, arena),
-                        Some(spec) => {
-                            spec.fill_schedule(alpha.n(), t_max, seed, i as u64, &mut schedule);
-                            sampler
-                                .first_solving_round_faulted(&mut rng, &schedule, &mut memo, arena)
-                        }
-                    };
+            None => {
+                let mut sampler = SampleKernel::new(model, task, table.as_ref(), alpha, t_max);
+                sampler.run_streams(seed, range.clone(), faults, |first| {
                     if let Some(first) = first {
                         first_solved[first.saturating_sub(1)] += 1;
                     }
-                }
-                stats.peeled_lanes += range.len() as u64;
-                stats.absorb(&memo);
+                });
+                stats = sampler.stats();
+                stats.peeled_lanes = range.len() as u64;
             }
         }
         (first_solved, stats)
@@ -234,27 +209,45 @@ where
 }
 
 /// The compiled-plan word loop (see the module docs for the layout and
-/// early-exit argument). `range` is word-aligned: `range.start % 64 == 0`
-/// and only the final word can be partially live.
+/// early-exit argument) on a fresh `stepper` — built by
+/// [`LaneStepper::new_faulted`] when `faults` is given, by
+/// [`LaneStepper::new`] otherwise. `range` is word-aligned:
+/// `range.start % 64 == 0` and only the final word can be partially live.
+///
+/// Under `faults`, each word's 64 per-lane [`FaultSchedule`]s are
+/// compiled from the salted fault substream and transposed into
+/// per-round **silence lane words** (`sil[i·64 + r]` bit `l` = lane `l`'s
+/// node `i` silent in round `r + 1`) for
+/// [`LaneStepper::step_faulted`]. Source draws are untouched — same
+/// streams, same order — so a rate-zero spec compiles all-zero silence
+/// words and reproduces the fault-free verdicts bit-for-bit. Early exit
+/// per word stays sound: faulted partitions still only refine over time
+/// (each round's knowledge embeds the node's own previous knowledge), so
+/// per-lane verdicts stay monotone in `r`.
 #[allow(clippy::too_many_arguments)]
 fn run_plan_words(
-    model: &Model,
+    mut stepper: LaneStepper,
     alpha: &Assignment,
     plan: &VerdictPlan,
     t: usize,
     seed: u64,
+    faults: Option<&FaultSpec>,
     range: &std::ops::Range<usize>,
     first_solved: &mut [u64],
     stats: &mut McStats,
 ) {
     debug_assert_eq!(range.start % 64, 0, "chunks must be word-aligned");
-    let k = alpha.k();
-    let mut stepper = LaneStepper::new(model, alpha);
+    let (k, n) = (alpha.k(), alpha.n());
     // draws[s·64 + l] = lane l's one-word draw for source s; after the
     // per-source transpose, draws[s·64 + r] bit l = source s's round-r
     // bit in lane l (BitString::sample packs round r at bit r, and
     // t ≤ 63 keeps every round inside one word).
     let mut draws = vec![0u64; k * 64];
+    // sil[i·64 + l] before the transpose: lane l's silence mask for node
+    // i (bit r = silent in round r + 1); after: per-round lane words.
+    // Empty when fault-free.
+    let mut sil = vec![0u64; if faults.is_some() { n * 64 } else { 0 }];
+    let mut schedule = FaultSchedule::empty(n, t);
     let mut regs: Vec<u64> = Vec::new();
     let mut base = range.start;
     while base < range.end {
@@ -272,14 +265,20 @@ fn run_plan_words(
                 for s in 0..k {
                     draws[s * 64 + l] = rng.next_u64();
                 }
+                if let Some(spec) = faults {
+                    spec.fill_schedule(n, t, seed, (base + l) as u64, &mut schedule);
+                    for i in 0..n {
+                        sil[i * 64 + l] = schedule.silent_mask64(i);
+                    }
+                }
             } else {
-                for s in 0..k {
-                    draws[s * 64 + l] = 0;
+                for word in draws.chunks_exact_mut(64).chain(sil.chunks_exact_mut(64)) {
+                    word[l] = 0;
                 }
             }
         }
-        for s in 0..k {
-            transpose64(&mut draws[s * 64..(s + 1) * 64]);
+        for block in draws.chunks_exact_mut(64).chain(sil.chunks_exact_mut(64)) {
+            transpose64(block);
         }
         stepper.reset();
         stats.lane_words += 1;
@@ -293,94 +292,10 @@ fn run_plan_words(
             if solved == live_mask {
                 break;
             }
-            stepper.step(|s| draws[s * 64 + r]);
-            let newly = plan.eval(stepper.eq_words(), &mut regs) & live_mask & !solved;
-            if newly != 0 {
-                first_solved[r] += u64::from(newly.count_ones());
-                solved |= newly;
+            match faults {
+                None => stepper.step(|s| draws[s * 64 + r]),
+                Some(_) => stepper.step_faulted(|s| draws[s * 64 + r], |i| sil[i * 64 + r]),
             }
-        }
-        base += 64;
-    }
-}
-
-/// The faulted compiled-plan word loop: [`run_plan_words`] plus, per
-/// word, the 64 per-lane [`FaultSchedule`]s compiled from the salted
-/// fault substream and transposed into per-round **silence lane words**
-/// (`sil[i·64 + r]` bit `l` = lane `l`'s node `i` silent in round
-/// `r + 1`) for [`LaneStepper::step_faulted`]. Source draws are
-/// untouched — same streams, same order — so a rate-zero spec compiles
-/// all-zero silence words and reproduces the fault-free verdicts
-/// bit-for-bit. Early exit per word stays sound: faulted partitions
-/// still only refine over time (each round's knowledge embeds the
-/// node's own previous knowledge), so per-lane verdicts stay monotone
-/// in `r`.
-#[allow(clippy::too_many_arguments)]
-fn run_plan_words_faulted(
-    model: &Model,
-    alpha: &Assignment,
-    plan: &VerdictPlan,
-    t: usize,
-    seed: u64,
-    spec: &FaultSpec,
-    range: &std::ops::Range<usize>,
-    first_solved: &mut [u64],
-    stats: &mut McStats,
-) {
-    debug_assert_eq!(range.start % 64, 0, "chunks must be word-aligned");
-    let k = alpha.k();
-    let n = alpha.n();
-    let mut stepper = LaneStepper::new_faulted(model, alpha);
-    let mut draws = vec![0u64; k * 64];
-    // sil[i·64 + l] before the transpose: lane l's silence mask for node
-    // i (bit r = silent in round r + 1); after: per-round lane words.
-    let mut sil = vec![0u64; n * 64];
-    let mut schedule = FaultSchedule::empty(n, t);
-    let mut regs: Vec<u64> = Vec::new();
-    let mut base = range.start;
-    while base < range.end {
-        let live = (range.end - base).min(64);
-        let live_mask = if live == 64 {
-            u64::MAX
-        } else {
-            (1u64 << live) - 1
-        };
-        for l in 0..64 {
-            if l < live {
-                let mut rng = StreamRng::new(seed, (base + l) as u64);
-                for s in 0..k {
-                    draws[s * 64 + l] = rng.next_u64();
-                }
-                spec.fill_schedule(n, t, seed, (base + l) as u64, &mut schedule);
-                for i in 0..n {
-                    sil[i * 64 + l] = schedule.silent_mask64(i);
-                }
-            } else {
-                for s in 0..k {
-                    draws[s * 64 + l] = 0;
-                }
-                for i in 0..n {
-                    sil[i * 64 + l] = 0;
-                }
-            }
-        }
-        for s in 0..k {
-            transpose64(&mut draws[s * 64..(s + 1) * 64]);
-        }
-        for i in 0..n {
-            transpose64(&mut sil[i * 64..(i + 1) * 64]);
-        }
-        stepper.reset();
-        stats.lane_words += 1;
-        let mut solved = plan.eval(stepper.eq_words(), &mut regs) & live_mask;
-        if solved != 0 {
-            first_solved[0] += u64::from(solved.count_ones());
-        }
-        for r in 0..t {
-            if solved == live_mask {
-                break;
-            }
-            stepper.step_faulted(|s| draws[s * 64 + r], |i| sil[i * 64 + r]);
             let newly = plan.eval(stepper.eq_words(), &mut regs) & live_mask & !solved;
             if newly != 0 {
                 first_solved[r] += u64::from(newly.count_ones());

@@ -35,16 +35,10 @@
 //!   descendants per deeper depth `d`) without descending — the counts
 //!   are *exactly* those of the exhaustive walk, for every task.
 //!
-//! The tree splits into top-level subtrees: prefixes at a small depth
-//! `D` form contiguous ranges ([`solved_counts_shard`]), each range
-//! re-derives its prefix paths (negligible: `2^{k·D}` of them) and owns a
-//! tree node iff it owns the node's leftmost prefix, so per-range tallies
-//! sum to the serial traversal's exactly. The production exact path walks
-//! the tree serially, as the `k >` [`crate::engine_dp::MAX_DP_K`]
-//! fallback only.
-//!
-//! This engine is now the **reference path**: the production exact
-//! dispatch runs through the quotient engine ([`crate::engine_dp`]),
+//! This engine is now the **reference path**, and the production exact
+//! path walks it only as the `k >` [`crate::engine_dp::MAX_DP_K`]
+//! fallback: the production exact dispatch runs through the quotient
+//! engine ([`crate::engine_dp`]),
 //! which walks the same tree *up to knowledge-equality state* — per-round
 //! cost `O(states · 2^k)` instead of `O(2^{k·r})` — and is asserted
 //! bit-identical to these tallies across this engine's reachable range.
@@ -260,84 +254,81 @@ impl SolvabilityMemo {
 /// Per-depth solved-node tallies from one shared traversal:
 /// `counts[d − 1]` is the number of depth-`d` tree nodes (equivalently,
 /// time-`d` realizations) that solve `task`, for `d ∈ 1..=t_max` — i.e.
-/// `p(d) = counts[d − 1] / 2^{k·d}` for the whole series at once.
+/// `p(d) = counts[d − 1] / 2^{k·d}` for the whole series at once. Also
+/// returns the traversal's [`SolvabilityMemo`], whose counters say how
+/// the verdicts were decided (memo hits, closed form, dense scan).
+///
+/// `faults = Some(schedule)` enumerates every realization against the
+/// same **fixed** silence pattern (a node silent in round `r` contributes
+/// nothing to that round's board or messages — the semantics of
+/// [`Execution::run_with_faults`](rsbt_sim::Execution::run_with_faults));
+/// `None` is the schedule that is never silent. Only fixed schedules are
+/// enumerable: a *random* fault model would break Lemma B.1's
+/// equiprobability (realizations would carry fault-pattern weights), so
+/// [`FaultSpec`](rsbt_sim::FaultSpec) rates are Monte-Carlo-only.
+///
+/// The monotone subtree pruning survives faults unchanged: each round
+/// node embeds the node's own previous knowledge, so equal time-`t`
+/// knowledge still forces equal time-`t − 1` knowledge — the consistency
+/// partition only refines over time, faulted or not, and a solving
+/// node's subtree solves wholesale. (What does *not* survive crashes is
+/// the zero-one *interpretation*: a crashed node's class may "decide" in
+/// the partition sense while the operational runner reports it as
+/// `None`. See `DESIGN.md` §4.9.)
 ///
 /// # Panics
 ///
-/// Panics if `k·t_max > 62`, or on a model/assignment node mismatch.
+/// Panics if `k·t_max > 62`, on a model/assignment node mismatch, or on a
+/// schedule/assignment node-count mismatch.
 pub fn solved_counts<T: Task + ?Sized>(
     model: &Model,
     task: &T,
     alpha: &Assignment,
     t_max: usize,
-    arena: &mut KnowledgeArena,
-) -> Vec<u64> {
-    let table = fallback_table(task, alpha.n());
+    faults: Option<&FaultSchedule>,
+) -> (Vec<u64>, SolvabilityMemo) {
+    let (k, n) = (alpha.k(), alpha.n());
+    assert!(k * t_max <= 62, "2^(k*t) enumeration too large");
+    if let Some(p) = model.ports() {
+        assert_eq!(p.n(), n, "model/assignment node mismatch");
+    }
+    if let Some(f) = faults {
+        assert_eq!(
+            f.n(),
+            n,
+            "fault schedule is for {} nodes, assignment for {n}",
+            f.n()
+        );
+    }
+    let table = fallback_table(task, n);
     let kernel = match table.as_ref() {
         Some(table) => TaskKernel::new(task, table),
         None => TaskKernel::closed_form_only(task),
     };
-    let mut memo = SolvabilityMemo::new();
-    solved_counts_shard(model, &kernel, alpha, t_max, 0, 0, 1, arena, &mut memo)
-}
-
-/// [`solved_counts`] under a **fixed** [`FaultSchedule`]: every
-/// enumerated realization executes against the same deterministic
-/// silence pattern (a node silent in round `r` contributes nothing to
-/// that round's board or messages — the semantics of
-/// [`Execution::run_with_faults`](rsbt_sim::Execution::run_with_faults)).
-///
-/// Only fixed schedules are enumerable: a *random* fault model would
-/// break Lemma B.1's equiprobability (realizations would carry
-/// fault-pattern weights), so [`FaultSpec`](rsbt_sim::FaultSpec) rates
-/// are Monte-Carlo-only and the exact path takes the schedule directly.
-///
-/// The monotone subtree pruning the engine relies on survives faults
-/// unchanged: each round node embeds the node's own previous knowledge,
-/// so equal time-`t` knowledge still forces equal time-`t − 1` knowledge
-/// — the consistency partition only refines over time, faulted or not,
-/// and a solving node's subtree solves wholesale. (What does *not*
-/// survive crashes is the zero-one *interpretation*: a crashed node's
-/// class may "decide" in the partition sense while the operational
-/// runner reports it as `None`. See `DESIGN.md` §4.9.)
-///
-/// # Panics
-///
-/// Same conditions as [`solved_counts`], plus a schedule/assignment
-/// node-count mismatch.
-pub fn solved_counts_faulted<T: Task + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    faults: &FaultSchedule,
-    arena: &mut KnowledgeArena,
-) -> Vec<u64> {
-    assert_eq!(
-        faults.n(),
-        alpha.n(),
-        "fault schedule is for {} nodes, assignment for {}",
-        faults.n(),
-        alpha.n()
-    );
-    let table = fallback_table(task, alpha.n());
-    let kernel = match table.as_ref() {
-        Some(table) => TaskKernel::new(task, table),
-        None => TaskKernel::closed_form_only(task),
-    };
-    let mut memo = SolvabilityMemo::new();
-    shard_impl(
-        model,
-        &kernel,
+    let mut walker = TreeWalker {
+        stepper: RoundStepper::new(model, n),
+        arena: KnowledgeArena::new(),
+        memo: SolvabilityMemo::new(),
+        kernel: &kernel,
         alpha,
         t_max,
-        0,
-        0,
-        1,
-        Some(faults),
-        arena,
-        &mut memo,
-    )
+        faults,
+        counts: vec![0u64; t_max],
+    };
+    if t_max == 0 {
+        return (walker.counts, walker.memo);
+    }
+    // levels[d] holds the knowledge-id vector of the current depth-d node.
+    let mut levels: Vec<Vec<KnowledgeId>> = (0..=t_max).map(|_| Vec::with_capacity(n)).collect();
+    levels[0] = (0..n).map(|_| walker.arena.initial(None)).collect();
+    // The root (depth 0, all `⊥`) is not tallied (the series starts at
+    // t = 1), but if it solves, monotonicity covers the entire tree.
+    if walker.memo.solves(&levels[0], &kernel) {
+        walker.tally_subtree(0);
+    } else {
+        walker.dfs(0, &mut levels);
+    }
+    (walker.counts, walker.memo)
 }
 
 /// Builds the dense output table only when `task` has no closed-form
@@ -353,199 +344,49 @@ pub fn fallback_table<T: Task + ?Sized>(task: &T, n: usize) -> Option<FacetTable
     }
 }
 
-/// The sharded form of [`solved_counts`]: processes the contiguous range
-/// `[lo, hi)` of depth-`shard_depth` tree prefixes (tree order), tallying
-/// a node iff this shard owns the node's leftmost prefix. Summing the
-/// returned vectors over a partition of `[0, 2^{k·shard_depth})` yields
-/// exactly the serial [`solved_counts`].
-///
-/// `shard_depth = 0, [lo, hi) = [0, 1)` is the whole tree. Workers pass
-/// their own `arena` and `memo` (interning is content-addressed, so
-/// per-worker arenas reproduce the serial verdicts bit-for-bit).
-///
-/// # Panics
-///
-/// Panics if `shard_depth > t_max`, `hi > 2^{k·shard_depth}`, `k·t_max >
-/// 62`, or on a model/assignment node mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn solved_counts_shard<T: Task + ?Sized>(
-    model: &Model,
-    kernel: &TaskKernel<'_, T>,
-    alpha: &Assignment,
-    t_max: usize,
-    shard_depth: usize,
-    lo: u64,
-    hi: u64,
-    arena: &mut KnowledgeArena,
-    memo: &mut SolvabilityMemo,
-) -> Vec<u64> {
-    shard_impl(
-        model,
-        kernel,
-        alpha,
-        t_max,
-        shard_depth,
-        lo,
-        hi,
-        None,
-        arena,
-        memo,
-    )
-}
-
-/// The shared traversal body of [`solved_counts_shard`] and
-/// [`solved_counts_faulted`]: `faults = None` is the fault-free walk,
-/// `Some(schedule)` steps every round through
-/// [`RoundStepper::step_faulted`] with the schedule's silence at that
-/// depth (tree depth *is* the 1-based round number).
-#[allow(clippy::too_many_arguments)]
-fn shard_impl<T: Task + ?Sized>(
-    model: &Model,
-    kernel: &TaskKernel<'_, T>,
-    alpha: &Assignment,
-    t_max: usize,
-    shard_depth: usize,
-    lo: u64,
-    hi: u64,
-    faults: Option<&FaultSchedule>,
-    arena: &mut KnowledgeArena,
-    memo: &mut SolvabilityMemo,
-) -> Vec<u64> {
-    let k = alpha.k();
-    let n = alpha.n();
-    assert!(shard_depth <= t_max, "shard depth beyond the tree");
-    assert!(k * t_max <= 62, "2^(k*t) enumeration too large");
-    assert!(
-        hi <= 1u64 << (k * shard_depth),
-        "prefix range out of bounds"
-    );
-    if let Some(p) = model.ports() {
-        assert_eq!(p.n(), n, "model/assignment node mismatch");
-    }
-    let counts = vec![0u64; t_max];
-    if t_max == 0 || lo >= hi {
-        return counts;
-    }
-    let mut walker = TreeWalker {
-        stepper: RoundStepper::new(model, n),
-        memo,
-        kernel,
-        alpha,
-        k,
-        t_max,
-        faults,
-        counts,
-    };
-    // levels[d] holds the knowledge-id vector of the current depth-d node.
-    let mut levels: Vec<Vec<KnowledgeId>> = (0..=t_max).map(|_| Vec::with_capacity(n)).collect();
-    levels[0] = (0..n).map(|_| arena.initial(None)).collect();
-    let digit_mask = (1u64 << k) - 1;
-    for prefix in lo..hi {
-        // Re-derive the path root → prefix node (rounds 1..=shard_depth).
-        let mut solved_at = None;
-        for r in 1..=shard_depth {
-            let digit = prefix >> ((shard_depth - r) * k) & digit_mask;
-            let (before, after) = levels.split_at_mut(r);
-            walker.advance(
-                arena,
-                &before[r - 1],
-                r,
-                |i| digit >> alpha.source_of(i) & 1 == 1,
-                &mut after[0],
-            );
-            // This shard owns the depth-r ancestor iff `prefix` is its
-            // leftmost (all-zero-suffix) prefix.
-            let owned = prefix & ((1u64 << ((shard_depth - r) * k)) - 1) == 0;
-            if owned && walker.memo.solves(&levels[r], kernel) {
-                walker.counts[r - 1] += 1;
-                if r == shard_depth {
-                    solved_at = Some(r);
-                }
-            }
-        }
-        if shard_depth == 0 {
-            // Whole-tree mode: the root (depth 0, all `⊥`) is not tallied
-            // (the series starts at t = 1), but if it solves, monotonicity
-            // covers the entire tree wholesale.
-            if walker.memo.solves(&levels[0], kernel) {
-                for d in 1..=t_max {
-                    walker.counts[d - 1] += 1u64 << (k * d);
-                }
-                continue;
-            }
-        }
-        match solved_at {
-            // Monotone pruning at the shard root: every extension solves.
-            Some(r) => {
-                for d in r + 1..=t_max {
-                    walker.counts[d - 1] += 1u64 << (k * (d - r));
-                }
-            }
-            None if shard_depth < t_max => {
-                walker.dfs(arena, shard_depth, &mut levels[shard_depth..]);
-            }
-            None => {}
-        }
-    }
-    walker.counts
-}
-
-/// The DFS state shared across one shard's traversal.
+/// The DFS state of one traversal.
 struct TreeWalker<'a, T: Task + ?Sized> {
     stepper: RoundStepper,
-    memo: &'a mut SolvabilityMemo,
+    arena: KnowledgeArena,
+    memo: SolvabilityMemo,
     kernel: &'a TaskKernel<'a, T>,
     alpha: &'a Assignment,
-    k: usize,
     t_max: usize,
-    /// `Some` enumerates against a fixed silence pattern (tree depth is
-    /// the 1-based round the schedule is consulted at).
+    /// The fixed silence pattern, consulted at tree depth = the 1-based
+    /// round (`None`: never silent).
     faults: Option<&'a FaultSchedule>,
     counts: Vec<u64>,
 }
 
 impl<T: Task + ?Sized> TreeWalker<'_, T> {
-    /// One round of knowledge construction landing at 1-based `round`:
-    /// the plain step when fault-free, [`RoundStepper::step_faulted`]
-    /// with the schedule's silence at `round` otherwise.
-    fn advance<F: Fn(usize) -> bool>(
-        &mut self,
-        arena: &mut KnowledgeArena,
-        prev: &[KnowledgeId],
-        round: usize,
-        bit: F,
-        out: &mut Vec<KnowledgeId>,
-    ) {
-        match self.faults {
-            None => self.stepper.step(arena, prev, bit, out),
-            Some(f) => self
-                .stepper
-                .step_faulted(arena, prev, bit, |m| f.is_silent(m, round), out),
+    /// Tallies every descendant of a solving depth-`depth` node
+    /// (`2^{k·(d − depth)}` per deeper depth `d`) without descending.
+    fn tally_subtree(&mut self, depth: usize) {
+        for d in depth + 1..=self.t_max {
+            self.counts[d - 1] += 1u64 << (self.alpha.k() * (d - depth));
         }
     }
 
     /// Expands the node whose knowledge vector is `levels[0]` (at `depth`,
     /// known not to solve): steps each of the `2^k` children into
     /// `levels[1]`, tallies, prunes solving subtrees, recurses otherwise.
-    fn dfs(&mut self, arena: &mut KnowledgeArena, depth: usize, levels: &mut [Vec<KnowledgeId>]) {
+    fn dfs(&mut self, depth: usize, levels: &mut [Vec<KnowledgeId>]) {
         let (cur, rest) = levels.split_first_mut().expect("level buffers cover t_max");
         let child_depth = depth + 1;
-        let alpha = self.alpha;
-        for digit in 0..1u64 << self.k {
-            self.advance(
-                arena,
+        let (alpha, faults) = (self.alpha, self.faults);
+        for digit in 0..1u64 << alpha.k() {
+            self.stepper.step_faulted(
+                &mut self.arena,
                 cur,
-                child_depth,
                 |i| digit >> alpha.source_of(i) & 1 == 1,
+                |m| faults.is_some_and(|f| f.is_silent(m, child_depth)),
                 &mut rest[0],
             );
             if self.memo.solves(&rest[0], self.kernel) {
                 self.counts[child_depth - 1] += 1;
-                for d in child_depth + 1..=self.t_max {
-                    self.counts[d - 1] += 1u64 << (self.k * (d - child_depth));
-                }
+                self.tally_subtree(child_depth);
             } else if child_depth < self.t_max {
-                self.dfs(arena, child_depth, rest);
+                self.dfs(child_depth, rest);
             }
         }
     }
@@ -696,75 +537,13 @@ mod tests {
         // and through the dense fallback (OpaqueLeaderElection) must tally
         // identically, and the opaque task must actually hit the scan.
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let counts_closed = solved_counts(
-            &Model::Blackboard,
-            &LeaderElection,
-            &alpha,
-            3,
-            &mut KnowledgeArena::new(),
-        );
-        let table = build_output_table(&OpaqueLeaderElection, alpha.n());
-        let kernel = TaskKernel::new(&OpaqueLeaderElection, &table);
-        let mut memo = SolvabilityMemo::new();
-        let counts_scanned = solved_counts_shard(
-            &Model::Blackboard,
-            &kernel,
-            &alpha,
-            3,
-            0,
-            0,
-            1,
-            &mut KnowledgeArena::new(),
-            &mut memo,
-        );
+        let (counts_closed, _) =
+            solved_counts(&Model::Blackboard, &LeaderElection, &alpha, 3, None);
+        let (counts_scanned, memo) =
+            solved_counts(&Model::Blackboard, &OpaqueLeaderElection, &alpha, 3, None);
         assert_eq!(counts_closed, counts_scanned);
         assert!(memo.dense_scan_verdicts() > 0);
         assert_eq!(memo.closed_form_verdicts(), 0);
-    }
-
-    #[test]
-    fn shards_sum_to_the_serial_traversal() {
-        // Any contiguous partition of the depth-D prefixes reproduces the
-        // serial per-depth tallies exactly.
-        let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let task = LeaderElection;
-        let t_max = 3;
-        for model in [Model::Blackboard, Model::message_passing_cyclic(3)] {
-            let mut arena = KnowledgeArena::new();
-            let serial = solved_counts(&model, &task, &alpha, t_max, &mut arena);
-            let table = build_output_table(&task, alpha.n());
-            let kernel = TaskKernel::new(&task, &table);
-            for shard_depth in [1usize, 2] {
-                let total = 1u64 << (alpha.k() * shard_depth);
-                let cut_sets = [
-                    vec![0, total],
-                    vec![0, 1, total],
-                    vec![0, total / 2, total / 2 + 1, total],
-                ];
-                for cuts in cut_sets {
-                    let mut summed = vec![0u64; t_max];
-                    for w in cuts.windows(2) {
-                        let mut arena = KnowledgeArena::new();
-                        let mut memo = SolvabilityMemo::new();
-                        let part = solved_counts_shard(
-                            &model,
-                            &kernel,
-                            &alpha,
-                            t_max,
-                            shard_depth,
-                            w[0],
-                            w[1],
-                            &mut arena,
-                            &mut memo,
-                        );
-                        for (acc, c) in summed.iter_mut().zip(&part) {
-                            *acc += c;
-                        }
-                    }
-                    assert_eq!(summed, serial, "{model} depth={shard_depth} cuts={cuts:?}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -780,14 +559,7 @@ mod tests {
         sched.set_omission(0, 2);
         sched.set_crash(2, 2);
         for model in [Model::Blackboard, Model::message_passing_cyclic(3)] {
-            let counts = solved_counts_faulted(
-                &model,
-                &LeaderElection,
-                &alpha,
-                t_max,
-                &sched,
-                &mut KnowledgeArena::new(),
-            );
+            let (counts, _) = solved_counts(&model, &LeaderElection, &alpha, t_max, Some(&sched));
             let kernel = TaskKernel::closed_form_only(&LeaderElection);
             let mut memo = SolvabilityMemo::new();
             let mut arena = KnowledgeArena::new();
@@ -810,8 +582,7 @@ mod tests {
         // A single node solves leader election at time 0 already, so every
         // depth must tally full.
         let alpha = Assignment::private(1);
-        let mut arena = KnowledgeArena::new();
-        let counts = solved_counts(&Model::Blackboard, &LeaderElection, &alpha, 4, &mut arena);
+        let (counts, _) = solved_counts(&Model::Blackboard, &LeaderElection, &alpha, 4, None);
         assert_eq!(counts, vec![2, 4, 8, 16]);
     }
 
@@ -823,8 +594,7 @@ mod tests {
         // exactly 2^62, not a wrapped residue. (The quotient engine's
         // 126-bit twin lives in `engine_dp`.)
         let alpha = Assignment::private(1);
-        let mut arena = KnowledgeArena::new();
-        let counts = solved_counts(&Model::Blackboard, &LeaderElection, &alpha, 62, &mut arena);
+        let (counts, _) = solved_counts(&Model::Blackboard, &LeaderElection, &alpha, 62, None);
         assert_eq!(counts[0], 2);
         assert_eq!(counts[61], 1u64 << 62);
     }

@@ -139,8 +139,8 @@ pub fn solved_series_with_stats<T: Task + ?Sized>(
 /// round-`r` transition meets the state with both the digit's equality
 /// pattern and the schedule's silence pattern at `r` (deterministic per
 /// round, so the DP caches one row per `(state, silence mask)`). The
-/// quotient twin of [`engine::solved_counts_faulted`], and bit-identical
-/// to it.
+/// quotient twin of [`engine::solved_counts`] under the same schedule,
+/// and bit-identical to it.
 ///
 /// # Panics
 ///
@@ -468,29 +468,28 @@ impl<T: Task + ?Sized> Dp<'_, T> {
         if threads > 1 && missing.len() >= PAR_MIN_STATES {
             let geom = &self.geom;
             let states = &self.states;
-            let label_rows: Vec<Vec<Vec<u8>>> =
-                pool::map_with_arena(&missing, threads, |_, &sid| {
-                    let labels = &states[sid as usize];
-                    let mut pair_eq = Vec::new();
-                    let mut new_eq = Vec::new();
-                    let mut seen = Vec::new();
-                    let mut out = Vec::new();
-                    geom.fill_pair_eq(labels, &mut pair_eq);
-                    (0..1u64 << geom.k)
-                        .map(|digit| {
-                            geom.child(
-                                labels,
-                                &pair_eq,
-                                digit,
-                                silence,
-                                &mut new_eq,
-                                &mut seen,
-                                &mut out,
-                            );
-                            out.clone()
-                        })
-                        .collect()
-                });
+            let label_rows: Vec<Vec<Vec<u8>>> = pool::map_items(&missing, threads, |&sid| {
+                let labels = &states[sid as usize];
+                let mut pair_eq = Vec::new();
+                let mut new_eq = Vec::new();
+                let mut seen = Vec::new();
+                let mut out = Vec::new();
+                geom.fill_pair_eq(labels, &mut pair_eq);
+                (0..1u64 << geom.k)
+                    .map(|digit| {
+                        geom.child(
+                            labels,
+                            &pair_eq,
+                            digit,
+                            silence,
+                            &mut new_eq,
+                            &mut seen,
+                            &mut out,
+                        );
+                        out.clone()
+                    })
+                    .collect()
+            });
             for (child_labels, &sid) in label_rows.iter().zip(&missing) {
                 let row: Box<[u32]> = child_labels.iter().map(|l| self.intern(l)).collect();
                 self.store_row(sid, silence, row);
@@ -671,7 +670,7 @@ fn run<T: Task + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsbt_sim::{KnowledgeArena, LaneStepper};
+    use rsbt_sim::LaneStepper;
     use rsbt_tasks::{KLeaderElection, LeaderElection, Task};
 
     fn models_for(n: usize) -> Vec<Model> {
@@ -731,9 +730,8 @@ mod tests {
             let n = alpha.n();
             for model in models_for(n) {
                 for task in tasks_for(n) {
-                    let mut arena = KnowledgeArena::new();
-                    let tree =
-                        engine::solved_counts(&model, task.as_ref(), &alpha, t_max, &mut arena);
+                    let (tree, _) =
+                        engine::solved_counts(&model, task.as_ref(), &alpha, t_max, None);
                     let serial = dp_counts(&model, task.as_ref(), &alpha, t_max);
                     let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
                     assert_eq!(serial, widened, "{model} {alpha} {}", task.name());
@@ -939,14 +937,8 @@ mod tests {
             let (t_max, n) = (*t_max, alpha.n());
             for model in models_for(n) {
                 for task in tasks_for(n) {
-                    let tree = engine::solved_counts_faulted(
-                        &model,
-                        task.as_ref(),
-                        alpha,
-                        t_max,
-                        sched,
-                        &mut KnowledgeArena::new(),
-                    );
+                    let (tree, _) =
+                        engine::solved_counts(&model, task.as_ref(), alpha, t_max, Some(sched));
                     let dp = dp_counts_faulted(&model, task.as_ref(), alpha, t_max, sched);
                     let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
                     assert_eq!(dp, widened, "{model} {alpha} {}", task.name());
@@ -973,13 +965,20 @@ mod tests {
     fn fault_free_schedule_matches_fault_free_dp() {
         // An empty schedule through the faulted DP (node units) must
         // reproduce the fault-free DP (source units on the blackboard) —
-        // two different state spaces, same counts.
+        // two different state spaces, same counts. The tree engine's walk
+        // under the empty schedule must match its walk with none.
         let alpha = Assignment::from_group_sizes(&[2, 2]).unwrap();
         let sched = FaultSchedule::empty(4, 3);
         for model in models_for(4) {
             let plain = dp_counts(&model, &LeaderElection, &alpha, 3);
             let faulted = dp_counts_faulted(&model, &LeaderElection, &alpha, 3, &sched);
             assert_eq!(plain, faulted, "{model}");
+            let (tree, _) = engine::solved_counts(&model, &LeaderElection, &alpha, 3, None);
+            let (tree_empty, _) =
+                engine::solved_counts(&model, &LeaderElection, &alpha, 3, Some(&sched));
+            assert_eq!(tree, tree_empty, "{model}");
+            let widened: Vec<u128> = tree.iter().map(|&c| c as u128).collect();
+            assert_eq!(plain, widened, "{model}");
         }
     }
 

@@ -142,8 +142,7 @@ fn check_budget(model: &Model, alpha: &Assignment, t: usize) {
 /// [`engine_dp::MAX_DP_K`]), else from the prefix-sharing tree engine —
 /// whose `u64` tallies additionally require `k·t ≤ 62`. The two are
 /// bit-identical on the overlap (property-tested in [`crate::engine_dp`]
-/// and asserted in-process by the `exp_perf_quotient` bench). Only the
-/// tree path interns knowledge, into an arena local to the call.
+/// and asserted in-process by the `exp_perf_quotient` bench).
 fn dispatch_series<T: Task + ?Sized>(
     model: &Model,
     task: &T,
@@ -167,11 +166,7 @@ fn dispatch_series<T: Task + ?Sized>(
         engine_dp::MAX_DP_K,
         alpha.k() * t_max
     );
-    let mut arena = KnowledgeArena::new();
-    let counts = match faults {
-        None => engine::solved_counts(model, task, alpha, t_max, &mut arena),
-        Some(f) => engine::solved_counts_faulted(model, task, alpha, t_max, f, &mut arena),
-    };
+    let (counts, _) = engine::solved_counts(model, task, alpha, t_max, faults);
     counts.into_iter().map(u128::from).collect()
 }
 
@@ -583,12 +578,6 @@ pub struct McStats {
 }
 
 impl McStats {
-    pub(crate) fn absorb(&mut self, memo: &SolvabilityMemo) {
-        self.memo_hits += memo.memo_hits();
-        self.closed_form_verdicts += memo.closed_form_verdicts();
-        self.dense_scan_verdicts += memo.dense_scan_verdicts();
-    }
-
     /// Accumulates another run's counters (sweep engines aggregate the
     /// stats of many estimated points).
     pub fn merge(&mut self, other: &McStats) {
@@ -629,15 +618,18 @@ pub(crate) fn check_mc_args(model: &Model, alpha: &Assignment, t: usize, samples
 }
 
 /// The per-worker Monte-Carlo sampling kernel: draws the per-source bit
-/// strings, steps `t` rounds with a reused [`RoundStepper`], and decides
-/// each sample's verdict through the [`SolvabilityMemo`] (closed-form
-/// first, dense scan only for tasks without one) — no per-sample
-/// allocation after the first few samples warm the buffers.
+/// strings, steps `t` rounds with a reused [`RoundStepper`] into its own
+/// [`KnowledgeArena`], and decides each sample's verdict through its own
+/// [`SolvabilityMemo`] (closed-form first, dense scan only for tasks
+/// without one) — no per-sample allocation after the first few samples
+/// warm the buffers.
 pub(crate) struct SampleKernel<'a, T: Task + ?Sized> {
     stepper: RoundStepper,
     kernel: TaskKernel<'a, T>,
     alpha: &'a Assignment,
     t: usize,
+    arena: KnowledgeArena,
+    memo: SolvabilityMemo,
     /// `K_i(0) = ⊥` for every node, interned once.
     initial: Vec<KnowledgeId>,
     /// Reused per-source strings of the current sample.
@@ -648,63 +640,74 @@ pub(crate) struct SampleKernel<'a, T: Task + ?Sized> {
 }
 
 impl<'a, T: Task + ?Sized> SampleKernel<'a, T> {
+    /// A kernel for `task` deciding through `table`, the run's dense
+    /// fallback (`None` when the task's closed form answers).
     pub(crate) fn new(
         model: &Model,
-        kernel: TaskKernel<'a, T>,
+        task: &'a T,
+        table: Option<&'a FacetTable>,
         alpha: &'a Assignment,
         t: usize,
-        arena: &mut KnowledgeArena,
     ) -> Self {
         let n = alpha.n();
+        let mut arena = KnowledgeArena::new();
         SampleKernel {
             stepper: RoundStepper::new(model, n),
-            kernel,
+            kernel: match table {
+                Some(table) => TaskKernel::new(task, table),
+                None => TaskKernel::closed_form_only(task),
+            },
             alpha,
             t,
             initial: (0..n).map(|_| arena.initial(None)).collect(),
+            arena,
+            memo: SolvabilityMemo::new(),
             sources: Vec::with_capacity(alpha.k()),
             cur: Vec::with_capacity(n),
             next: Vec::with_capacity(n),
         }
     }
 
-    /// Runs one sample drawn from `rng`: `true` iff it solves at time
-    /// `t`. Consumes the generator exactly like [`Realization::sample`]
-    /// (k `u64` draws, source order), so the verdict stream is
-    /// bit-comparable to [`monte_carlo_reference`]'s.
-    fn sample<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        memo: &mut SolvabilityMemo,
-        arena: &mut KnowledgeArena,
-    ) -> bool {
-        self.first_solving_round(rng, memo, arena).is_some()
+    /// The memo's verdict counters so far.
+    pub(crate) fn stats(&self) -> McStats {
+        McStats {
+            memo_hits: self.memo.memo_hits(),
+            closed_form_verdicts: self.memo.closed_form_verdicts(),
+            dense_scan_verdicts: self.memo.dense_scan_verdicts(),
+            ..McStats::default()
+        }
     }
 
-    /// Runs one sample and reports the **first** round `r ≤ t` whose
-    /// consistency partition solves (`Some(0)` when the all-`⊥` initial
-    /// partition already does, `None` when no prefix solves by `t`).
+    /// Runs one sample drawn from `rng` and reports the **first** round
+    /// `r ≤ t` whose consistency partition solves (`Some(0)` when the
+    /// all-`⊥` initial partition already does, `None` when no prefix
+    /// solves by `t`). Consumes the generator exactly like
+    /// [`Realization::sample`] (k `u64` draws, source order), so the
+    /// verdict stream is bit-comparable to [`monte_carlo_reference`]'s.
+    /// Round `r` is stepped through [`RoundStepper::step_faulted`] with
+    /// the silence of `faults` at `r` (`None`: never silent, the
+    /// fault-free dynamics); fault draws live on a salted stream and
+    /// never touch `rng`.
     ///
     /// Rounds stop at the first solving partition: extending an
-    /// execution only refines its consistency partition, so a solving
-    /// round-`r` prefix solves at every `t ≥ r` (the same monotonicity
-    /// the enumeration engine prunes subtrees with). Two consequences:
-    /// the sample's verdict at *every* time `t' ≤ t` is `first ≤ t'` —
-    /// a whole estimated series from one pass — and at large `t` in the
-    /// `p(t) → 1` regime the expected per-sample round count drops to
-    /// `O(1)`, the dominant term of the kernel's speedup over the
-    /// reference (which always steps all `t` rounds).
+    /// execution only refines its consistency partition (faulted or not),
+    /// so a solving round-`r` prefix solves at every `t ≥ r` (the same
+    /// monotonicity the enumeration engine prunes subtrees with). Two
+    /// consequences: the sample's verdict at *every* time `t' ≤ t` is
+    /// `first ≤ t'` — a whole estimated series from one pass — and at
+    /// large `t` in the `p(t) → 1` regime the expected per-sample round
+    /// count drops to `O(1)`, the dominant term of the kernel's speedup
+    /// over the reference (which always steps all `t` rounds).
     pub(crate) fn first_solving_round<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
-        memo: &mut SolvabilityMemo,
-        arena: &mut KnowledgeArena,
+        faults: Option<&FaultSchedule>,
     ) -> Option<usize> {
         self.sources.clear();
         for _ in 0..self.alpha.k() {
             self.sources.push(BitString::sample(rng, self.t));
         }
-        if memo.solves(&self.initial, &self.kernel) {
+        if self.memo.solves(&self.initial, &self.kernel) {
             // Degenerate n = 1 style cases: the all-⊥ partition solves.
             return Some(0);
         }
@@ -713,59 +716,45 @@ impl<'a, T: Task + ?Sized> SampleKernel<'a, T> {
         for r in 0..self.t {
             let sources = &self.sources;
             let alpha = self.alpha;
-            self.stepper.step(
-                arena,
+            self.stepper.step_faulted(
+                &mut self.arena,
                 &self.cur,
                 |i| sources[alpha.source_of(i)].bit(r),
+                |i| faults.is_some_and(|f| f.is_silent(i, r + 1)),
                 &mut self.next,
             );
             std::mem::swap(&mut self.cur, &mut self.next);
-            if memo.solves(&self.cur, &self.kernel) {
+            if self.memo.solves(&self.cur, &self.kernel) {
                 return Some(r + 1);
             }
         }
         None
     }
 
-    /// [`SampleKernel::first_solving_round`] under a per-sample
-    /// [`FaultSchedule`]: identical source-draw discipline (`k` `u64`
-    /// words in source order — fault draws live on a salted stream and
-    /// never touch `rng`), with every round stepped through
-    /// [`RoundStepper::step_faulted`] at the schedule's 1-based round.
-    /// With an empty schedule the verdict stream is bit-identical to the
-    /// fault-free kernel's.
-    pub(crate) fn first_solving_round_faulted<R: Rng + ?Sized>(
+    /// The one scalar sampling loop: sample `i ∈ streams` draws its
+    /// source bits from [`StreamRng`]`(seed, i)` and, under `faults`,
+    /// compiles its [`FaultSchedule`] from the salted fault substream
+    /// keyed by the same `(seed, i)` pair; each first solving round goes
+    /// to `tally`.
+    pub(crate) fn run_streams<F: FnMut(Option<usize>)>(
         &mut self,
-        rng: &mut R,
-        faults: &FaultSchedule,
-        memo: &mut SolvabilityMemo,
-        arena: &mut KnowledgeArena,
-    ) -> Option<usize> {
-        self.sources.clear();
-        for _ in 0..self.alpha.k() {
-            self.sources.push(BitString::sample(rng, self.t));
+        seed: u64,
+        streams: std::ops::Range<usize>,
+        faults: Option<&FaultSpec>,
+        mut tally: F,
+    ) {
+        let (n, t) = (self.alpha.n(), self.t);
+        // One schedule buffer, refilled per sample.
+        let mut faulted = faults.map(|spec| (spec, FaultSchedule::empty(n, t)));
+        for i in streams {
+            let stream = i as u64;
+            let schedule = faulted.as_mut().map(|(spec, schedule)| {
+                spec.fill_schedule(n, t, seed, stream, schedule);
+                &*schedule
+            });
+            let mut rng = StreamRng::new(seed, stream);
+            tally(self.first_solving_round(&mut rng, schedule));
         }
-        if memo.solves(&self.initial, &self.kernel) {
-            return Some(0);
-        }
-        self.cur.clear();
-        self.cur.extend_from_slice(&self.initial);
-        for r in 0..self.t {
-            let sources = &self.sources;
-            let alpha = self.alpha;
-            self.stepper.step_faulted(
-                arena,
-                &self.cur,
-                |i| sources[alpha.source_of(i)].bit(r),
-                |i| faults.is_silent(i, r + 1),
-                &mut self.next,
-            );
-            std::mem::swap(&mut self.cur, &mut self.next);
-            if memo.solves(&self.cur, &self.kernel) {
-                return Some(r + 1);
-            }
-        }
-        None
     }
 }
 
@@ -794,20 +783,11 @@ pub fn monte_carlo<T: Task + ?Sized, R: Rng + ?Sized>(
 ) -> Estimate {
     check_mc_args(model, alpha, t, samples);
     let table = engine::fallback_table(task, alpha.n());
-    let kernel = match table.as_ref() {
-        Some(table) => TaskKernel::new(task, table),
-        None => TaskKernel::closed_form_only(task),
-    };
-    let mut arena = KnowledgeArena::new();
-    let mut memo = SolvabilityMemo::new();
-    let mut sampler = SampleKernel::new(model, kernel, alpha, t, &mut arena);
-    let mut solved = 0u64;
-    for _ in 0..samples {
-        if sampler.sample(rng, &mut memo, &mut arena) {
-            solved += 1;
-        }
-    }
-    Estimate::from_counts(solved, samples)
+    let mut sampler = SampleKernel::new(model, task, table.as_ref(), alpha, t);
+    let solved = (0..samples)
+        .filter(|_| sampler.first_solving_round(rng, None).is_some())
+        .count();
+    Estimate::from_counts(solved as u64, samples)
 }
 
 /// The pre-kernel reference path, kept verbatim: one [`Realization`]
@@ -1067,13 +1047,12 @@ where
     (chunks.iter().sum(), stats)
 }
 
-/// The one sharded sampling loop every parallel estimator runs on: folds
-/// the first-solving-round of each sample in `[lo, lo + count)` (streams
-/// keyed by `seed`) into a per-chunk accumulator, with the per-worker
-/// kernel/memo/sampler assembly in exactly one place — the count and
-/// series estimators differ only in their `tally`, so the stream keying
-/// and verdict dispatch that their documented bit-identity rests on
-/// cannot drift apart.
+/// The sharding every parallel scalar estimator runs on: each worker
+/// folds the first solving round of its samples in `[lo, lo + count)`
+/// ([`SampleKernel::run_streams`], streams keyed by `seed`) into a
+/// per-chunk accumulator — the count and series estimators differ only
+/// in their `tally`, so the stream keying and verdict dispatch that their
+/// documented bit-identity rests on cannot drift apart.
 #[allow(clippy::too_many_arguments)]
 fn fold_sample_chunks<T, A, I, F>(
     model: &Model,
@@ -1095,43 +1074,13 @@ where
     I: Fn() -> A + Sync,
     F: Fn(&mut A, Option<usize>) + Sync,
 {
-    let per_chunk = pool::map_sample_chunks(count, threads, |arena, range| {
-        let kernel = match table {
-            Some(table) => TaskKernel::new(task, table),
-            None => TaskKernel::closed_form_only(task),
-        };
-        let mut memo = SolvabilityMemo::new();
-        let mut sampler = SampleKernel::new(model, kernel, alpha, t, arena);
+    let per_chunk = pool::map_sample_chunks(count, threads, |range| {
+        let mut sampler = SampleKernel::new(model, task, table, alpha, t);
         let mut acc = init();
-        match faults {
-            None => {
-                for i in range {
-                    let mut rng = StreamRng::new(seed, (lo + i) as u64);
-                    tally(
-                        &mut acc,
-                        sampler.first_solving_round(&mut rng, &mut memo, arena),
-                    );
-                }
-            }
-            Some(spec) => {
-                // One schedule buffer per worker; sample i compiles its
-                // schedule from the salted fault substream keyed by the
-                // same (seed, stream index) pair its source draws use.
-                let mut schedule = FaultSchedule::empty(alpha.n(), t);
-                for i in range {
-                    let stream = (lo + i) as u64;
-                    spec.fill_schedule(alpha.n(), t, seed, stream, &mut schedule);
-                    let mut rng = StreamRng::new(seed, stream);
-                    tally(
-                        &mut acc,
-                        sampler.first_solving_round_faulted(&mut rng, &schedule, &mut memo, arena),
-                    );
-                }
-            }
-        }
-        let mut stats = McStats::default();
-        stats.absorb(&memo);
-        (acc, stats)
+        sampler.run_streams(seed, lo + range.start..lo + range.end, faults, |first| {
+            tally(&mut acc, first)
+        });
+        (acc, sampler.stats())
     });
     let mut accs = Vec::with_capacity(per_chunk.len());
     let mut stats = McStats::default();

@@ -61,17 +61,8 @@ impl Execution {
         inputs: &[Option<u64>],
         arena: &mut KnowledgeArena,
     ) -> Execution {
-        let n = rho.n();
-        assert_eq!(inputs.len(), n, "one input per node");
-        let mut stepper = RoundStepper::new(model, n);
-        let mut ids: Vec<Vec<KnowledgeId>> = Vec::with_capacity(rho.time() + 1);
-        ids.push(inputs.iter().map(|v| arena.initial(*v)).collect());
-        for t in 1..=rho.time() {
-            let mut now = Vec::with_capacity(n);
-            stepper.step(arena, &ids[t - 1], |i| rho.node(i).bit(t - 1), &mut now);
-            ids.push(now);
-        }
-        Execution { ids }
+        assert_eq!(inputs.len(), rho.n(), "one input per node");
+        Execution::run_silenced(model, rho, inputs, None, arena)
     }
 
     /// Runs the dynamics under a fault schedule (see [`crate::faults`]):
@@ -94,16 +85,29 @@ impl Execution {
     ) -> Execution {
         let n = rho.n();
         assert_eq!(faults.n(), n, "fault schedule covers {} nodes", faults.n());
-        let mut stepper = RoundStepper::new(model, n);
+        Execution::run_silenced(model, rho, &vec![None; n], Some(faults), arena)
+    }
+
+    /// The one execution loop: initial knowledge from `inputs`, then every
+    /// round through [`RoundStepper::step_faulted`] with the silence of
+    /// `faults` at that round (`None`: never silent).
+    fn run_silenced(
+        model: &Model,
+        rho: &Realization,
+        inputs: &[Option<u64>],
+        faults: Option<&FaultSchedule>,
+        arena: &mut KnowledgeArena,
+    ) -> Execution {
+        let mut stepper = RoundStepper::new(model, rho.n());
         let mut ids: Vec<Vec<KnowledgeId>> = Vec::with_capacity(rho.time() + 1);
-        ids.push((0..n).map(|_| arena.initial(None)).collect());
+        ids.push(inputs.iter().map(|v| arena.initial(*v)).collect());
         for t in 1..=rho.time() {
-            let mut now = Vec::with_capacity(n);
+            let mut now = Vec::with_capacity(rho.n());
             stepper.step_faulted(
                 arena,
                 &ids[t - 1],
                 |i| rho.node(i).bit(t - 1),
-                |i| faults.is_silent(i, t),
+                |i| faults.is_some_and(|f| f.is_silent(i, t)),
                 &mut now,
             );
             ids.push(now);
@@ -216,7 +220,8 @@ impl RoundStepper {
     /// Computes `K_i(t)` for every node from the time-`t − 1` vector
     /// `prev` and the per-node round bits `bit(i)`, appending the ids to
     /// `out` (cleared first). `prev` may live anywhere — a DFS stack
-    /// level, an [`Execution`] row — and is not consumed.
+    /// level, an [`Execution`] row — and is not consumed. This is
+    /// [`RoundStepper::step_faulted`] with no node silent.
     ///
     /// # Panics
     ///
@@ -231,24 +236,7 @@ impl RoundStepper {
     ) where
         F: Fn(usize) -> bool,
     {
-        let n = prev.len();
-        out.clear();
-        for i in 0..n {
-            self.scratch.clear();
-            let id = match &self.model {
-                Model::Blackboard => {
-                    self.scratch
-                        .extend((0..n).filter(|&j| j != i).map(|j| prev[j]));
-                    arena.round_blackboard_reuse(prev[i], bit(i), &mut self.scratch)
-                }
-                Model::MessagePassing(ports) => {
-                    self.scratch
-                        .extend((1..n).map(|j| prev[ports.neighbor(i, j)]));
-                    arena.round_ports_reuse(prev[i], bit(i), &mut self.scratch)
-                }
-            };
-            out.push(id);
-        }
+        self.step_faulted(arena, prev, bit, |_| false, out);
     }
 
     /// [`RoundStepper::step`] under silence: node `j` with `silent(j)`
@@ -259,8 +247,7 @@ impl RoundStepper {
     /// of the sender's knowledge. The silent node itself still receives,
     /// and its own `prev`/`bit` enter its knowledge as usual.
     ///
-    /// With `silent ≡ false` this computes exactly the same ids as
-    /// [`RoundStepper::step`].
+    /// [`RoundStepper::step`] is this step with `silent ≡ false`.
     pub fn step_faulted<F, S>(
         &mut self,
         arena: &mut KnowledgeArena,

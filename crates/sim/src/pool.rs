@@ -1,42 +1,33 @@
-//! Deterministic fan-out of arena-backed work over scoped OS threads.
+//! Deterministic fan-out over scoped OS threads.
 //!
-//! Solvability checks need a mutable [`KnowledgeArena`], which makes naive
-//! data-parallelism awkward: arenas cannot be shared across workers without
-//! locking, and locking would serialize the hot interning path. The pattern
-//! used here is *per-worker arenas*: interning is content-addressed, so
-//! every worker reconstructs identical knowledge structure locally and only
-//! sends plain results back.
+//! Work is split into contiguous chunks (one per worker) and results are
+//! merged back **by item index** — never by completion order — so the
+//! output is deterministic and independent of thread scheduling.
 //!
-//! [`map_with_arena`] packages that pattern: items are split into
-//! contiguous chunks (one per worker), each worker folds its chunk with a
-//! private arena, and results are merged back **by item index** — never
-//! by completion order — so the output is deterministic and independent
-//! of thread scheduling.
+//! Workers share nothing mutable. Callers that need a
+//! [`KnowledgeArena`](crate::KnowledgeArena) build one inside their
+//! closure: interning is content-addressed, so every worker reconstructs
+//! identical knowledge structure locally and only sends plain results
+//! back, and no lock ever serializes the hot interning path.
 
-use crate::knowledge::KnowledgeArena;
-
-/// Maps `f` over `items` on up to `threads` scoped OS threads, giving each
-/// worker its own private [`KnowledgeArena`]. The arena persists across the
-/// items of one chunk, so per-worker interning is amortized exactly like a
-/// serial loop's.
+/// Maps `f` over `items` on up to `threads` scoped OS threads.
 ///
 /// The result vector is in item order regardless of which worker computed
 /// which item or when it finished; with `threads == 1` this degenerates to
-/// a plain serial fold (no thread is spawned).
+/// a plain serial map (no thread is spawned).
 ///
 /// # Panics
 ///
 /// Panics if `threads == 0`, or propagates a worker panic.
-pub fn map_with_arena<I, R, F>(items: &[I], threads: usize, f: F) -> Vec<R>
+pub fn map_items<I, R, F>(items: &[I], threads: usize, f: F) -> Vec<R>
 where
     I: Sync,
     R: Send,
-    F: Fn(&mut KnowledgeArena, &I) -> R + Sync,
+    F: Fn(&I) -> R + Sync,
 {
     assert!(threads >= 1, "need at least one worker");
     if threads == 1 || items.len() <= 1 {
-        let mut arena = KnowledgeArena::new();
-        return items.iter().map(|item| f(&mut arena, item)).collect();
+        return items.iter().map(&f).collect();
     }
     let chunk = items.len().div_ceil(threads);
     let mut chunks: Vec<Vec<R>> = std::thread::scope(|scope| {
@@ -44,13 +35,7 @@ where
             .chunks(chunk)
             .map(|slice| {
                 let f = &f;
-                scope.spawn(move || {
-                    let mut arena = KnowledgeArena::new();
-                    slice
-                        .iter()
-                        .map(|item| f(&mut arena, item))
-                        .collect::<Vec<R>>()
-                })
+                scope.spawn(move || slice.iter().map(f).collect::<Vec<R>>())
             })
             .collect();
         // Joining in spawn order merges chunk results back in item order,
@@ -69,8 +54,7 @@ where
 
 /// Sample-sharding fan-out for Monte-Carlo estimators: splits the index
 /// range `0..total` into one contiguous chunk per worker and folds each
-/// chunk with a private [`KnowledgeArena`], merging chunk results back in
-/// index order.
+/// chunk with `f`, merging chunk results back in index order.
 ///
 /// The contract that makes sharded estimates **bit-identical for any
 /// worker count** is that `f` derives everything about sample `i` from
@@ -90,7 +74,7 @@ where
 pub fn map_sample_chunks<R, F>(total: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(&mut KnowledgeArena, std::ops::Range<usize>) -> R + Sync,
+    F: Fn(std::ops::Range<usize>) -> R + Sync,
 {
     map_sample_chunks_aligned(total, threads, 1, f)
 }
@@ -111,7 +95,7 @@ where
 pub fn map_sample_chunks_aligned<R, F>(total: usize, threads: usize, align: usize, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(&mut KnowledgeArena, std::ops::Range<usize>) -> R + Sync,
+    F: Fn(std::ops::Range<usize>) -> R + Sync,
 {
     assert!(threads >= 1, "need at least one worker");
     assert!(align >= 1, "alignment must be at least 1");
@@ -120,21 +104,21 @@ where
         .map(|w| (w * chunk).min(total)..((w + 1) * chunk).min(total))
         .filter(|r| !r.is_empty())
         .collect();
-    map_with_arena(&ranges, threads, |arena, range| f(arena, range.clone()))
+    map_items(&ranges, threads, |range| f(range.clone()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Execution, Model};
+    use crate::{Execution, KnowledgeArena, Model};
     use rsbt_random::{Assignment, Realization};
 
     #[test]
     fn results_are_in_item_order_for_any_thread_count() {
         let items: Vec<usize> = (0..37).collect();
-        let serial = map_with_arena(&items, 1, |_, &i| i * i);
+        let serial = map_items(&items, 1, |&i| i * i);
         for threads in [2, 3, 4, 8, 64] {
-            let par = map_with_arena(&items, threads, |_, &i| i * i);
+            let par = map_items(&items, threads, |&i| i * i);
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -145,33 +129,37 @@ mod tests {
         // identical to the single-arena serial pass.
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
         let rhos: Vec<Realization> = Realization::enumerate_consistent(&alpha, 3).collect();
-        let partition = |arena: &mut KnowledgeArena, rho: &Realization| {
+        let partition = |rho: &Realization, arena: &mut KnowledgeArena| {
             let exec = Execution::run(&Model::Blackboard, rho, arena);
             exec.consistency_partition(exec.time())
         };
-        let serial = map_with_arena(&rhos, 1, partition);
-        for threads in [2, 3, 5] {
-            assert_eq!(map_with_arena(&rhos, threads, partition), serial);
+        let mut shared = KnowledgeArena::new();
+        let serial: Vec<_> = rhos.iter().map(|rho| partition(rho, &mut shared)).collect();
+        for threads in [1, 2, 3, 5] {
+            let private = map_items(&rhos, threads, |rho| {
+                partition(rho, &mut KnowledgeArena::new())
+            });
+            assert_eq!(private, serial);
         }
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
         let items = [1u32, 2];
-        assert_eq!(map_with_arena(&items, 16, |_, &i| i + 1), vec![2, 3]);
+        assert_eq!(map_items(&items, 16, |&i| i + 1), vec![2, 3]);
     }
 
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
-        let _ = map_with_arena(&[1u32], 0, |_, &i| i);
+        let _ = map_items(&[1u32], 0, |&i| i);
     }
 
     #[test]
     fn sample_chunks_cover_the_range_exactly_once() {
         for total in [0usize, 1, 2, 7, 64, 100] {
             for threads in [1usize, 2, 3, 4, 8, 64] {
-                let chunks = map_sample_chunks(total, threads, |_, r| r.collect::<Vec<usize>>());
+                let chunks = map_sample_chunks(total, threads, |r| r.collect::<Vec<usize>>());
                 let flat: Vec<usize> = chunks.into_iter().flatten().collect();
                 let expect: Vec<usize> = (0..total).collect();
                 assert_eq!(flat, expect, "total={total} threads={threads}");
@@ -186,7 +174,7 @@ mod tests {
         let per_index = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9) % 7;
         let serial: u64 = (0..1000).map(per_index).sum();
         for threads in [1usize, 2, 3, 4, 8] {
-            let total: u64 = map_sample_chunks(1000, threads, |_, r| r.map(per_index).sum::<u64>())
+            let total: u64 = map_sample_chunks(1000, threads, |r| r.map(per_index).sum::<u64>())
                 .into_iter()
                 .sum();
             assert_eq!(total, serial, "threads={threads}");
@@ -196,7 +184,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn sample_chunks_zero_threads_rejected() {
-        let _ = map_sample_chunks(4, 0, |_, r| r.len());
+        let _ = map_sample_chunks(4, 0, |r| r.len());
     }
 
     #[test]
@@ -205,7 +193,7 @@ mod tests {
         // below 64, and a single sample.
         for total in [0usize, 1, 2, 63, 64, 65, 127, 128, 130, 1000] {
             for threads in [1usize, 2, 3, 4, 8, 64] {
-                let chunks = map_sample_chunks_aligned(total, threads, 64, |_, r| r);
+                let chunks = map_sample_chunks_aligned(total, threads, 64, |r| r);
                 let flat: Vec<usize> = chunks.iter().cloned().flatten().collect();
                 let expect: Vec<usize> = (0..total).collect();
                 assert_eq!(flat, expect, "total={total} threads={threads}");
@@ -224,8 +212,8 @@ mod tests {
     fn align_one_matches_the_unaligned_chunking() {
         for total in [0usize, 1, 7, 100, 129] {
             for threads in [1usize, 2, 3, 8] {
-                let plain = map_sample_chunks(total, threads, |_, r| r);
-                let aligned = map_sample_chunks_aligned(total, threads, 1, |_, r| r);
+                let plain = map_sample_chunks(total, threads, |r| r);
+                let aligned = map_sample_chunks_aligned(total, threads, 1, |r| r);
                 assert_eq!(plain, aligned, "total={total} threads={threads}");
             }
         }
@@ -234,6 +222,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "alignment must be at least 1")]
     fn zero_alignment_rejected() {
-        let _ = map_sample_chunks_aligned(4, 1, 0, |_, r| r.len());
+        let _ = map_sample_chunks_aligned(4, 1, 0, |r| r.len());
     }
 }
