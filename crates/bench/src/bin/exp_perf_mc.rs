@@ -10,9 +10,11 @@
 //! 3. **performance** — the serial pre-kernel reference
 //!    (`monte_carlo_reference`: one `Realization`, one full `Execution`
 //!    trace, and one consistency partition allocated per sample) versus
-//!    the serial kernel, the parallel kernel
-//!    (`RoundStepper` + `SolvabilityMemo`, allocation-free steps,
-//!    first-solving-round early exit), and the **bit-sliced kernel**
+//!    the scalar kernel on one worker and on all workers
+//!    (`monte_carlo_parallel`: `RoundStepper` + `SolvabilityMemo`,
+//!    allocation-free steps, first-solving-round early exit), asserted
+//!    bit-identical to the reference on the same `(samples, seed)`, and
+//!    the **bit-sliced kernel**
 //!    (`monte_carlo_bitsliced_series_with_stats`: 64 samples per `u64`
 //!    lane word, verdicts from a compiled `VerdictPlan`, the point
 //!    estimate read off the series tail), with ≥ 5× floors asserted for the
@@ -39,8 +41,6 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rsbt_bench::{fmt_p, fmt_sizes, run_experiment, McSweep, RowMode, SweepSpec, Table, TaskSpec};
 use rsbt_core::probability::{self, AdaptiveConfig, Estimate, McStats, TREE_EXACT_BITS};
 use rsbt_random::Assignment;
@@ -183,34 +183,26 @@ fn performance(table: &mut Table, threads: usize, samples: usize, seed: u64) -> 
         let alpha = Assignment::from_group_sizes(&sizes).unwrap();
         let bits = alpha.k() * t;
         let (ref_est, ref_ms) = time_ms(|| {
-            let mut rng = StdRng::seed_from_u64(seed);
             probability::monte_carlo_reference(
                 &Model::Blackboard,
                 task.as_ref(),
                 &alpha,
                 t,
                 samples,
-                &mut rng,
+                seed,
             )
         });
-        let (kernel_est, kernel_ms) = time_ms(|| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            probability::monte_carlo(
+        let (_, kernel_ms) = time_ms(|| {
+            probability::monte_carlo_parallel(
                 &Model::Blackboard,
                 task.as_ref(),
                 &alpha,
                 t,
                 samples,
-                &mut rng,
+                seed,
+                1,
             )
         });
-        assert_eq!(
-            kernel_est,
-            ref_est,
-            "{} {sizes:?}: kernel and reference must be bit-identical from \
-             equal generator states",
-            task.name()
-        );
         let (parallel_est, parallel_ms) = time_ms(|| {
             probability::monte_carlo_parallel(
                 &Model::Blackboard,
@@ -222,6 +214,13 @@ fn performance(table: &mut Table, threads: usize, samples: usize, seed: u64) -> 
                 threads,
             )
         });
+        assert_eq!(
+            parallel_est,
+            ref_est,
+            "{} {sizes:?}: kernel and reference must be bit-identical on the \
+             same (seed, samples)",
+            task.name()
+        );
         let (bitsliced_est, bitsliced_ms) = time_ms(|| {
             probability::monte_carlo_bitsliced_series_with_stats(
                 &Model::Blackboard,
@@ -324,16 +323,8 @@ fn bitsliced_identity(table: &mut Table, samples: usize, seed: u64, stats: &mut 
                 "true".into(),
             ]);
         }
-        // Whole-series identity on a word-straddling count.
-        let scalar_series = probability::monte_carlo_series_parallel(
-            &Model::Blackboard,
-            task.as_ref(),
-            &alpha,
-            t,
-            130,
-            seed,
-            1,
-        );
+        // Whole-series identity on a word-straddling count: the series
+        // at every t is the scalar point estimate at that t.
         let (sliced_series, _) = probability::monte_carlo_bitsliced_series_with_stats(
             &Model::Blackboard,
             task.as_ref(),
@@ -343,12 +334,24 @@ fn bitsliced_identity(table: &mut Table, samples: usize, seed: u64, stats: &mut 
             seed,
             4,
         );
-        assert_eq!(
-            sliced_series,
-            scalar_series,
-            "{} {sizes:?}: series must be bit-identical",
-            task.name()
-        );
+        for (i, est) in sliced_series.iter().enumerate() {
+            let scalar = probability::monte_carlo_parallel(
+                &Model::Blackboard,
+                task.as_ref(),
+                &alpha,
+                i + 1,
+                130,
+                seed,
+                1,
+            );
+            assert_eq!(
+                *est,
+                scalar,
+                "{} {sizes:?} t={}: series must be bit-identical",
+                task.name(),
+                i + 1
+            );
+        }
     }
 }
 

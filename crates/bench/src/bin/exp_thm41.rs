@@ -8,8 +8,6 @@
 //!    (`S_1` probability and the `1 − (k−1)/2^t` lower bound);
 //! 3. a Monte-Carlo cross-check of the exact enumerator.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rsbt_bench::{fmt_p, fmt_sizes, run_experiment, SweepSpec, Table, TaskSpec};
 use rsbt_core::{bounds, eventual, probability};
 use rsbt_random::Assignment;
@@ -67,7 +65,6 @@ fn main() -> ExitCode {
             // against the Wilson score interval: the old z-score column
             // was vacuous on the [2,2] row, where p̂ = 0 makes std_error
             // exactly 0 and |Δ|/stderr degenerates to 0-or-∞.
-            let mut rng = StdRng::seed_from_u64(2021);
             let mut mc = Table::new(vec![
                 "sizes",
                 "t",
@@ -82,14 +79,16 @@ fn main() -> ExitCode {
                 let alpha = Assignment::from_group_sizes(&sizes).unwrap();
                 let t = 4;
                 let exact = eng.exact(&Model::Blackboard, &LeaderElection, &alpha, t);
-                let est = probability::monte_carlo(
+                let (series, _) = probability::monte_carlo_bitsliced_series_with_stats(
                     &Model::Blackboard,
                     &LeaderElection,
                     &alpha,
                     t,
                     50_000,
-                    &mut rng,
+                    2021,
+                    eng.threads(),
                 );
+                let est = series[t - 1];
                 let (lo, hi) = est.wilson(4.0);
                 let consistent = est.is_consistent_with(exact, 4.0);
                 all_consistent &= consistent;

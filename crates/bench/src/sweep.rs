@@ -5,10 +5,10 @@
 //! declaratively; [`SweepEngine`] executes it with three shared
 //! mechanisms the hand-rolled per-bin loops never had:
 //!
-//! * **memoization** — every exact probability point goes through one
-//!   process-wide [`rsbt_core::probability::Cache`], so overlapping points
-//!   across report sections (and across specs in one binary) are computed
-//!   once;
+//! * **memoization** — the engine keeps every exact series it computed
+//!   as a prefix `p(1..=len)` per `(model, task, α)`, so overlapping
+//!   points across report sections (and across specs in one binary) are
+//!   computed once;
 //! * **parallel fan-out** — uncached points are split into contiguous
 //!   chunks over [`rsbt_sim::pool::map_items`] workers and merged
 //!   back in deterministic point order, never completion order;
@@ -24,9 +24,9 @@
 use std::ops::RangeInclusive;
 
 use rsbt_core::eventual::{self, LimitClass};
-use rsbt_core::probability::{self, Cache, Estimate};
+use rsbt_core::probability::{self, Estimate};
 use rsbt_random::Assignment;
-use rsbt_sim::{pool, FaultSpec, KnowledgeArena, Model, PortNumbering};
+use rsbt_sim::{pool, FaultSpec, FxHashMap, KnowledgeArena, Model, PortNumbering};
 use rsbt_tasks::Task;
 
 use crate::report::Json;
@@ -507,8 +507,8 @@ struct Point {
     model: Model,
     model_label: String,
     task: Box<dyn Task + Send + Sync>,
-    /// [`Task::name`] computed once at expansion, so the per-`t` cache
-    /// lookups below are allocation-free.
+    /// [`Task::name`] computed once at expansion, so the cache lookups
+    /// below are allocation-free.
     task_name: String,
     alpha: Assignment,
     t_max: usize,
@@ -542,14 +542,24 @@ pub(crate) fn point_seed(base: u64, model_label: &str, task_name: &str, sizes: &
     h ^ base
 }
 
-/// The executor: a probability cache, a shared arena for bins' own
+/// Exact prefix series keyed `model → task name → α sources`: the leaf
+/// holds `p(1..=len)`, the longest series computed for that triple.
+/// Nested maps let every lookup borrow its key components, so a hit
+/// allocates nothing. The task name is part of the key, so [`Task::name`]
+/// must uniquely identify the task's output-complex family (all in-tree
+/// tasks do; e.g. `KLeaderElection` embeds `k` and constrained
+/// `LeaderAndDeputy` variants embed their constraint masks).
+type SeriesCache = FxHashMap<Model, FxHashMap<String, FxHashMap<Box<[usize]>, Vec<f64>>>>;
+
+/// The executor: the exact-series cache, a shared arena for bins' own
 /// enumeration checks, and a worker budget for sweep fan-out.
 pub struct SweepEngine {
     threads: usize,
-    cache: Cache,
+    cache: SeriesCache,
+    /// Per-`t` lookups answered from a cached prefix / computed.
+    hits: u64,
+    misses: u64,
     arena: KnowledgeArena,
-    sweep_hits: u64,
-    sweep_misses: u64,
     mc_stats: probability::McStats,
     mc_samples_override: Option<usize>,
     mc_seed_override: Option<u64>,
@@ -574,10 +584,10 @@ impl SweepEngine {
         assert!(threads >= 1, "need at least one worker");
         SweepEngine {
             threads,
-            cache: Cache::new(),
+            cache: SeriesCache::default(),
+            hits: 0,
+            misses: 0,
             arena: KnowledgeArena::new(),
-            sweep_hits: 0,
-            sweep_misses: 0,
             mc_stats: probability::McStats::default(),
             mc_samples_override: None,
             mc_seed_override: None,
@@ -625,16 +635,50 @@ impl SweepEngine {
         &mut self.arena
     }
 
-    /// Total cached points / hits / misses across every evaluation path.
+    /// `(hits, misses, points)`: per-`t` lookups answered from the cache,
+    /// per-`t` lookups that had to compute, and the number of cached
+    /// `(model, task, α, t)` values.
     pub fn cache_stats(&self) -> (u64, u64, usize) {
-        (
-            self.cache.hits() + self.sweep_hits,
-            self.cache.misses() + self.sweep_misses,
-            self.cache.len(),
-        )
+        let points = self
+            .cache
+            .values()
+            .flat_map(|by_task| by_task.values())
+            .flat_map(|by_alpha| by_alpha.values())
+            .map(Vec::len)
+            .sum();
+        (self.hits, self.misses, points)
     }
 
-    /// Cached exact `Pr[S(t) | α]` (serial path).
+    /// The cached prefix `p(1..=len)` for one `(model, task, α)` triple
+    /// (empty when none); every key component is borrowed.
+    fn cached(&self, model: &Model, task_name: &str, sources: &[usize]) -> &[f64] {
+        self.cache
+            .get(model)
+            .and_then(|by_task| by_task.get(task_name))
+            .and_then(|by_alpha| by_alpha.get(sources))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Stores `series` as the triple's prefix when it is longer than the
+    /// cached one (a shorter series is a prefix of the cached one: the
+    /// exact dispatch is deterministic).
+    fn store(&mut self, model: &Model, task_name: &str, sources: &[usize], series: Vec<f64>) {
+        let prefix = self
+            .cache
+            .entry(model.clone())
+            .or_default()
+            .entry(task_name.to_string())
+            .or_default()
+            .entry(Box::from(sources))
+            .or_default();
+        if series.len() > prefix.len() {
+            *prefix = series;
+        }
+    }
+
+    /// Cached exact `Pr[S(t) | α]`: `exact_series(t)[t − 1]`, a hit when
+    /// the cached prefix reaches `t`. `t = 0` (no round runs) goes to
+    /// [`probability::exact`] uncached.
     pub fn exact<T: Task + ?Sized>(
         &mut self,
         model: &Model,
@@ -642,10 +686,24 @@ impl SweepEngine {
         alpha: &Assignment,
         t: usize,
     ) -> f64 {
-        probability::exact_cached(&mut self.cache, model, task, alpha, t)
+        if t == 0 {
+            return probability::exact(model, task, alpha, 0);
+        }
+        let name = task.name();
+        if let Some(&p) = self.cached(model, &name, alpha.sources()).get(t - 1) {
+            self.hits += 1;
+            return p;
+        }
+        self.misses += 1;
+        let series = probability::exact_series(model, task, alpha, t);
+        let p = series[t - 1];
+        self.store(model, &name, alpha.sources(), series);
+        p
     }
 
-    /// Cached exact series `p(1..t_max)` (serial path).
+    /// Cached exact series `p(1..t_max)`: the cached prefix answers its
+    /// `t`s, and one [`probability::exact_series`] dispatch to `t_max`
+    /// computes the rest.
     pub fn exact_series<T: Task + ?Sized>(
         &mut self,
         model: &Model,
@@ -653,7 +711,16 @@ impl SweepEngine {
         alpha: &Assignment,
         t_max: usize,
     ) -> Vec<f64> {
-        probability::exact_series_cached(&mut self.cache, model, task, alpha, t_max)
+        let name = task.name();
+        let cached = self.cached(model, &name, alpha.sources()).len().min(t_max);
+        self.hits += cached as u64;
+        self.misses += (t_max - cached) as u64;
+        if cached == t_max {
+            return self.cached(model, &name, alpha.sources())[..t_max].to_vec();
+        }
+        let series = probability::exact_series(model, task, alpha, t_max);
+        self.store(model, &name, alpha.sources(), series.clone());
+        series
     }
 
     /// Executes a declarative sweep: expands the spec, answers cached
@@ -710,47 +777,33 @@ impl SweepEngine {
             }
         }
 
-        // Split cached from uncached at per-t granularity: a point whose
-        // prefix was already warmed (e.g. by an earlier `exact()` call)
-        // only dispatches its missing suffix, and the hit/miss statistics
-        // count exactly what was answered from memory vs computed. The
-        // lookups borrow every key component (`peek_named`) — no
-        // allocation per probed `t`.
-        let mut missing: Vec<(&Point, Vec<usize>)> = Vec::new();
+        // Split cached from uncached: a point whose prefix was already
+        // warmed (e.g. by an earlier `exact()` call) counts its cached `t`s
+        // as hits and is recomputed to its `t_max`. One borrowed lookup
+        // per point, no allocation.
+        let mut missing: Vec<&Point> = Vec::new();
         for p in points.iter().filter(|p| !p.mc) {
-            let missing_ts: Vec<usize> = (1..=p.t_max)
-                .filter(|&t| {
-                    self.cache
-                        .peek_named(&p.model, &p.task_name, p.alpha.sources(), t)
-                        .is_none()
-                })
-                .collect();
-            self.sweep_hits += (p.t_max - missing_ts.len()) as u64;
-            self.sweep_misses += missing_ts.len() as u64;
-            if !missing_ts.is_empty() {
-                missing.push((p, missing_ts));
+            let cached = self
+                .cached(&p.model, &p.task_name, p.alpha.sources())
+                .len()
+                .min(p.t_max);
+            self.hits += cached as u64;
+            self.misses += (p.t_max - cached) as u64;
+            if cached < p.t_max {
+                missing.push(p);
             }
         }
 
-        // Parallel fan-out: each worker runs ONE exact dispatch per point
-        // (deep enough for the deepest missing t), reading the whole
-        // series off the per-depth tallies — never one computation per t.
-        let computed = pool::map_items(&missing, self.threads, |(p, ts)| {
-            let deepest = *ts.last().expect("missing points have at least one t");
-            probability::exact_series(&p.model, p.task.as_ref(), &p.alpha, deepest)
+        // Parallel fan-out: each worker runs ONE exact dispatch per point,
+        // reading the whole series off the per-depth tallies — never one
+        // computation per t.
+        let computed = pool::map_items(&missing, self.threads, |p| {
+            probability::exact_series(&p.model, p.task.as_ref(), &p.alpha, p.t_max)
         });
 
         // Deterministic merge: point order, never completion order.
-        for ((p, ts), series) in missing.iter().zip(&computed) {
-            for &t in ts {
-                self.cache.insert_named(
-                    &p.model,
-                    &p.task_name,
-                    p.alpha.sources(),
-                    t,
-                    series[t - 1],
-                );
-            }
+        for (p, series) in missing.iter().zip(computed) {
+            self.store(&p.model, &p.task_name, p.alpha.sources(), series);
         }
 
         points
@@ -764,14 +817,8 @@ impl SweepEngine {
                     };
                     self.estimate_point(p, eff)
                 } else {
-                    let series = (1..=p.t_max)
-                        .map(|t| {
-                            self.cache
-                                .peek_named(&p.model, &p.task_name, p.alpha.sources(), t)
-                                .expect("merged above")
-                        })
-                        .collect();
-                    (series, None)
+                    let prefix = self.cached(&p.model, &p.task_name, p.alpha.sources());
+                    (prefix[..p.t_max].to_vec(), None)
                 };
                 let limit = eventual::lemma_3_2_limit(&series);
                 let matches = p.predicted.map(|pred| pred == (limit == LimitClass::One));
@@ -852,7 +899,7 @@ impl SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsbt_tasks::LeaderElection;
+    use rsbt_tasks::{KLeaderElection, LeaderElection};
 
     fn le_spec() -> SweepSpec {
         SweepSpec::new()
@@ -919,6 +966,72 @@ mod tests {
         // And the suffix-only path is bit-identical to a cold engine.
         let cold = SweepEngine::new(2).sweep(&spec);
         assert_eq!(rows, cold);
+    }
+
+    #[test]
+    fn cache_replays_bit_identical_values() {
+        let mut engine = SweepEngine::new(1);
+        let bb = Model::Blackboard;
+        let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
+        let fresh = |t| probability::exact(&bb, &LeaderElection, &alpha, t);
+        let first = engine.exact_series(&bb, &LeaderElection, &alpha, 4);
+        assert_eq!(engine.cache_stats(), (0, 4, 4));
+        // A longer series extends the cached prefix: 4 hits + 2 misses.
+        let longer = engine.exact_series(&bb, &LeaderElection, &alpha, 6);
+        assert_eq!(engine.cache_stats(), (4, 6, 6));
+        assert_eq!(&longer[..4], &first[..]);
+        for (i, &p) in longer.iter().enumerate() {
+            let t = i + 1;
+            assert_eq!(p.to_bits(), fresh(t).to_bits(), "t={t}");
+            // exact(t) inside the cached prefix is a hit, bit for bit.
+            let point = engine.exact(&bb, &LeaderElection, &alpha, t);
+            assert_eq!(point.to_bits(), fresh(t).to_bits(), "exact t={t}");
+        }
+        assert_eq!(engine.cache_stats(), (10, 6, 6));
+        // exact(t) past the cached length misses once and extends the
+        // prefix to t, so the t in between is a hit afterwards.
+        let p8 = engine.exact(&bb, &LeaderElection, &alpha, 8);
+        assert_eq!(p8.to_bits(), fresh(8).to_bits());
+        assert_eq!(engine.cache_stats(), (10, 7, 8));
+        let p7 = engine.exact(&bb, &LeaderElection, &alpha, 7);
+        assert_eq!(p7.to_bits(), fresh(7).to_bits());
+        assert_eq!(engine.cache_stats(), (11, 7, 8));
+    }
+
+    #[test]
+    fn cache_key_distinguishes_model_task_and_alpha() {
+        let mut engine = SweepEngine::new(1);
+        let a12 = Assignment::from_group_sizes(&[1, 2]).unwrap();
+        let a111 = Assignment::from_group_sizes(&[1, 1, 1]).unwrap();
+        let two = KLeaderElection::new(2);
+        let bb = Model::Blackboard;
+        let mp = Model::message_passing_cyclic(3);
+        let keys: [(&Model, &dyn Task, &Assignment); 4] = [
+            (&bb, &LeaderElection, &a12),
+            (&bb, &LeaderElection, &a111),
+            (&bb, &two, &a111),
+            (&mp, &LeaderElection, &a111),
+        ];
+        let points: Vec<f64> = keys
+            .iter()
+            .map(|&(model, task, alpha)| engine.exact(model, task, alpha, 2))
+            .collect();
+        // Four distinct keys, no collisions: four prefixes of length 2.
+        assert_eq!(engine.cache_stats(), (0, 4, 8));
+        for (&(model, task, alpha), p) in keys.iter().zip(&points) {
+            let fresh = probability::exact(model, task, alpha, 2);
+            assert_eq!(p.to_bits(), fresh.to_bits(), "{model} {alpha}");
+        }
+        // Replays hit and agree.
+        assert_eq!(
+            engine.exact(&mp, &LeaderElection, &a111, 2).to_bits(),
+            points[3].to_bits()
+        );
+        assert_eq!(engine.cache_stats(), (1, 4, 8));
+        let name = LeaderElection.name();
+        let prefix = engine.cached(&bb, &name, a12.sources());
+        assert_eq!(prefix.get(1), Some(&points[0]));
+        assert_eq!(prefix.get(2), None);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! and the estimates are **bit-identical to
 //! [`probability::monte_carlo_parallel`] for any thread count and any
 //! lane fill**. Worker chunks are word-aligned
-//! ([`pool::map_sample_chunks_aligned`] with `align = 64`), so lane ↔
+//! ([`pool::map_sample_chunks`] with `align = 64`), so lane ↔
 //! stream mapping never depends on the worker count; the last partial
 //! word masks its dead lanes out of every tally.
 //!
@@ -48,18 +48,20 @@ use crate::engine;
 use crate::probability::{check_mc_args, Estimate, McStats, SampleKernel};
 
 /// Bit-sliced `p̂(1), …, p̂(t_max)` from one sampling pass, with the
-/// verdict-path statistics (summed across workers): bit-identical to
-/// [`monte_carlo_series_parallel`](crate::probability::monte_carlo_series_parallel)
-/// with the same `(seed, samples)` — for any `threads` on either side —
-/// at a fraction of the cost (see the module docs). The point estimate
-/// at `t` is `series[t − 1]`, bit-identical to
+/// verdict-path statistics (summed across workers). Each sample's first
+/// solving round decides its verdict at every `t` at once
+/// (monotonicity), so `series[t − 1]` is bit-identical to
 /// [`monte_carlo_parallel`](crate::probability::monte_carlo_parallel)
-/// at `t`.
+/// at `t` with the same `(seed, samples)` — for any `threads` on either
+/// side — at a fraction of the cost (see the module docs), and the series
+/// is exactly monotone (sample `i` at time `t` is the prefix of sample
+/// `i` at `t + 1`: common random numbers).
 ///
 /// # Panics
 ///
 /// Same conditions as
-/// [`monte_carlo_series_parallel`](crate::probability::monte_carlo_series_parallel).
+/// [`monte_carlo_parallel`](crate::probability::monte_carlo_parallel),
+/// plus `t_max ≥ 1`.
 pub fn monte_carlo_bitsliced_series_with_stats<T>(
     model: &Model,
     task: &T,
@@ -126,8 +128,8 @@ where
 /// The one sharded lane loop both bit-sliced estimators run on: per
 /// word-aligned chunk, either the compiled-plan path or the scalar peel,
 /// tallying `first_solved[r]` — the samples whose first solving round is
-/// exactly `r + 1` (round 0 counts as round 1, matching the scalar
-/// series) — then merging the chunks and prefix-summing them into the
+/// exactly `r + 1` (round 0 counts as round 1: solved before any bits)
+/// — then merging the chunks and prefix-summing them into the
 /// cumulative estimate series.
 #[allow(clippy::too_many_arguments)]
 fn lane_series<T>(
@@ -161,7 +163,7 @@ where
     } else {
         engine::fallback_table(task, alpha.n())
     };
-    let per_chunk = pool::map_sample_chunks_aligned(samples, threads, 64, |range| {
+    let per_chunk = pool::map_sample_chunks(samples, threads, 64, |range| {
         let mut first_solved = vec![0u64; t_max];
         let mut stats = McStats::default();
         match plan.as_ref() {
@@ -334,7 +336,6 @@ mod tests {
     use crate::output_cache::build_output_table;
     use crate::probability::{
         monte_carlo_parallel, monte_carlo_parallel_faulted, monte_carlo_parallel_with_stats,
-        monte_carlo_series_parallel,
     };
     use crate::solvability;
     use rsbt_tasks::{
@@ -450,8 +451,6 @@ mod tests {
     #[test]
     fn bitsliced_series_matches_the_scalar_series() {
         for (model, task, alpha, t_max) in grid() {
-            let reference =
-                monte_carlo_series_parallel(&model, task.as_ref(), &alpha, t_max, 130, 7, 1);
             for threads in [1usize, 2, 4] {
                 let (sliced, _) = monte_carlo_bitsliced_series_with_stats(
                     &model,
@@ -462,12 +461,18 @@ mod tests {
                     7,
                     threads,
                 );
-                assert_eq!(
-                    sliced,
-                    reference,
-                    "{} {model} threads={threads}",
-                    task.name()
-                );
+                assert_eq!(sliced.len(), t_max);
+                for (i, est) in sliced.iter().enumerate() {
+                    let reference =
+                        monte_carlo_parallel(&model, task.as_ref(), &alpha, i + 1, 130, 7, 1);
+                    assert_eq!(
+                        est,
+                        &reference,
+                        "{} {model} threads={threads} t={}",
+                        task.name(),
+                        i + 1
+                    );
+                }
             }
         }
     }

@@ -14,9 +14,9 @@
 //! * [`OutputComplexCache::complex`] — the classic [`Complex`], for the
 //!   Definition 3.1/3.4 search paths that need faces and projections.
 //!
-//! Keys are `(Task::name, n)`; like `probability::Cache`, this relies on
-//! task names uniquely identifying the output-complex family (all
-//! in-tree tasks guarantee it).
+//! Keys are `(Task::name, n)`; like the sweep engine's exact-series
+//! cache, this relies on task names uniquely identifying the
+//! output-complex family (all in-tree tasks guarantee it).
 
 use rsbt_complex::{Complex, FacetTable};
 use rsbt_sim::FxHashMap;

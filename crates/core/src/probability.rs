@@ -10,15 +10,21 @@
 //! prefix-sharing execution-tree engine ([`crate::engine`]) remains the
 //! dispatch fallback for `k >` [`crate::engine_dp::MAX_DP_K`] (where the
 //! DP's per-state `2^k` fan-out is unaffordable) and the reference path
-//! for bit-identity tests. A Monte-Carlo estimator covers the regimes
-//! where even the DP is out of reach.
+//! for bit-identity tests.
+//!
+//! Monte-Carlo estimates cover the regimes where even the DP is out of
+//! reach. Sample `i` always draws its source bits from
+//! [`StreamRng`]`(seed, i)`, so every estimator below is a function of
+//! `(samples, seed)` alone: the production path is the bit-sliced series
+//! ([`monte_carlo_bitsliced_series_with_stats`], 64 samples per lane
+//! word), the scalar kernel ([`monte_carlo_parallel`] and its faulted
+//! and adaptive forms) serves single points, and
+//! [`monte_carlo_reference`] is the test-only oracle both are
+//! bit-identical to.
 
 use rand::rngs::StreamRng;
-use rand::Rng;
 use rsbt_random::{Assignment, BitString, Realization};
-use rsbt_sim::{
-    pool, FaultSchedule, FaultSpec, FxHashMap, KnowledgeArena, KnowledgeId, Model, RoundStepper,
-};
+use rsbt_sim::{pool, FaultSchedule, FaultSpec, KnowledgeArena, KnowledgeId, Model, RoundStepper};
 use rsbt_tasks::Task;
 
 use rsbt_complex::FacetTable;
@@ -128,7 +134,7 @@ fn check_budget(model: &Model, alpha: &Assignment, t: usize) {
     let bits = alpha.k() * t;
     assert!(
         bits <= MAX_EXACT_BITS,
-        "k*t = {bits} exceeds exact-enumeration budget; use monte_carlo"
+        "k*t = {bits} exceeds exact-enumeration budget; use monte_carlo_parallel"
     );
     if let Some(p) = model.ports() {
         assert_eq!(p.n(), alpha.n(), "model/assignment node mismatch");
@@ -243,197 +249,6 @@ pub fn exact_series<T: Task + ?Sized>(
         .iter()
         .enumerate()
         .map(|(i, &c)| c as f64 / (1u128 << (alpha.k() * (i + 1))) as f64)
-        .collect()
-}
-
-/// Memoization cache for exact sweep points.
-///
-/// Keyed by `(model, task name, canonical α source labels, t)` — the full
-/// identity of one exact-probability evaluation. Overlapping sweep points
-/// (the same profile appearing across bins, rounds, and report sections)
-/// are computed once per process.
-///
-/// The key is stored as three nested maps (`model → task name → α`) whose
-/// leaves hold the per-`t` series, so **lookups borrow every component**:
-/// a hot sweep hit performs no allocation (the old flat
-/// `(Model, String, Vec<usize>, usize)` tuple key cloned the model and
-/// the source vector — two heap allocations — per lookup, hits included).
-/// Callers compute `task.name()` once per point and pass it in.
-///
-/// The task name is part of the key, so [`Task::name`] must uniquely
-/// identify the task's output-complex family (all in-tree tasks do; e.g.
-/// `KLeaderElection` embeds `k` and constrained `LeaderAndDeputy` variants
-/// embed their constraint masks).
-#[derive(Clone, Debug, Default)]
-pub struct Cache {
-    /// `model → task name → α sources → p(t) at slot t`.
-    map: FxHashMap<Model, TaskMap>,
-    points: usize,
-    hits: u64,
-    misses: u64,
-}
-
-/// `task name → α sources → p(t) at slot t` (the inner cache levels).
-type TaskMap = FxHashMap<String, FxHashMap<Box<[usize]>, Vec<Option<f64>>>>;
-
-impl Cache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Cache::default()
-    }
-
-    /// The number of distinct sweep points stored.
-    pub fn len(&self) -> usize {
-        self.points
-    }
-
-    /// Whether no point has been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.points == 0
-    }
-
-    /// How many lookups were answered from memory.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// How many lookups had to compute.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Looks up a point without computing; does not touch hit statistics.
-    /// Every key component is borrowed, so a lookup never allocates.
-    pub fn peek_named(
-        &self,
-        model: &Model,
-        task_name: &str,
-        sources: &[usize],
-        t: usize,
-    ) -> Option<f64> {
-        self.map
-            .get(model)?
-            .get(task_name)?
-            .get(sources)?
-            .get(t)
-            .copied()
-            .flatten()
-    }
-
-    /// Inserts a precomputed point (used by parallel sweep engines that
-    /// compute misses out-of-band and merge deterministically); allocates
-    /// only for key components not yet present.
-    pub fn insert_named(
-        &mut self,
-        model: &Model,
-        task_name: &str,
-        sources: &[usize],
-        t: usize,
-        p: f64,
-    ) {
-        // Owned key components are cloned only when absent (misses are
-        // rare relative to hits and allocate for the computation anyway).
-        if !self.map.contains_key(model) {
-            self.map.insert(model.clone(), FxHashMap::default());
-        }
-        let by_task = self.map.get_mut(model).expect("ensured above");
-        if !by_task.contains_key(task_name) {
-            by_task.insert(task_name.to_string(), FxHashMap::default());
-        }
-        let by_alpha = by_task.get_mut(task_name).expect("ensured above");
-        if !by_alpha.contains_key(sources) {
-            by_alpha.insert(Box::from(sources), Vec::new());
-        }
-        let series = by_alpha.get_mut(sources).expect("ensured above");
-        if series.len() <= t {
-            series.resize(t + 1, None);
-        }
-        if series[t].is_none() {
-            self.points += 1;
-        }
-        series[t] = Some(p);
-    }
-
-    /// Counted borrowed lookup: bumps the hit/miss statistics.
-    fn lookup_counted(
-        &mut self,
-        model: &Model,
-        task_name: &str,
-        sources: &[usize],
-        t: usize,
-    ) -> Option<f64> {
-        match self.peek_named(model, task_name, sources, t) {
-            Some(p) => {
-                self.hits += 1;
-                Some(p)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-}
-
-/// Cached [`exact`]: answers from `cache` when possible, otherwise computes
-/// via [`exact`] and memoizes. The cache key is borrowed — no model or
-/// source-vector clone on hits.
-///
-/// # Panics
-///
-/// Same conditions as [`exact`].
-pub fn exact_cached<T: Task + ?Sized>(
-    cache: &mut Cache,
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-) -> f64 {
-    let name = task.name();
-    if let Some(p) = cache.lookup_counted(model, &name, alpha.sources(), t) {
-        return p;
-    }
-    let p = exact(model, task, alpha, t);
-    cache.insert_named(model, &name, alpha.sources(), t, p);
-    p
-}
-
-/// Cached [`exact_series`]: each prefix `t` is memoized individually, so a
-/// longer series extends a shorter one without recomputing shared
-/// prefixes. Uncached suffixes are filled by **one** [`exact_series`]
-/// dispatch to the deepest missing `t`, not one computation per missing
-/// point.
-///
-/// # Panics
-///
-/// Same conditions as [`exact_series`].
-pub fn exact_series_cached<T: Task + ?Sized>(
-    cache: &mut Cache,
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-) -> Vec<f64> {
-    let name = task.name();
-    let cached: Vec<Option<f64>> = (1..=t_max)
-        .map(|t| cache.lookup_counted(model, &name, alpha.sources(), t))
-        .collect();
-    let deepest_missing = cached.iter().rposition(Option::is_none).map(|i| i + 1);
-    let computed = match deepest_missing {
-        Some(need) => exact_series(model, task, alpha, need),
-        None => Vec::new(),
-    };
-    cached
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| match slot {
-            Some(p) => p,
-            None => {
-                let p = computed[i];
-                cache.insert_named(model, &name, alpha.sources(), i + 1, p);
-                p
-            }
-        })
         .collect()
 }
 
@@ -591,11 +406,9 @@ impl McStats {
 
 /// Asserts the shared preconditions of every Monte-Carlo entry point.
 ///
-/// Unlike the old `monte_carlo` (which checked the node count only when
-/// `model.ports()` was `Some` and accepted sample counts past the
-/// `f64`-exact range), this validates every argument up front — including
-/// the round count, which would otherwise fail deep inside
-/// [`BitString::sample`] with an unrelated message.
+/// Every argument is validated up front — including the round count,
+/// which would otherwise fail deep inside [`BitString::sample`] with an
+/// unrelated message.
 pub(crate) fn check_mc_args(model: &Model, alpha: &Assignment, t: usize, samples: usize) {
     assert!(samples > 0, "need at least one sample");
     assert!(
@@ -698,9 +511,9 @@ impl<'a, T: Task + ?Sized> SampleKernel<'a, T> {
     /// large `t` in the `p(t) → 1` regime the expected per-sample round
     /// count drops to `O(1)`, the dominant term of the kernel's speedup
     /// over the reference (which always steps all `t` rounds).
-    pub(crate) fn first_solving_round<R: Rng + ?Sized>(
+    fn first_solving_round(
         &mut self,
-        rng: &mut R,
+        rng: &mut StreamRng,
         faults: Option<&FaultSchedule>,
     ) -> Option<usize> {
         self.sources.clear();
@@ -758,63 +571,37 @@ impl<'a, T: Task + ?Sized> SampleKernel<'a, T> {
     }
 }
 
-/// Monte-Carlo `Pr[S(t) | α]` from a caller-provided generator.
-///
-/// Rewritten on the PR 4 verdict kernel: per-sample execution steps reuse
-/// one [`RoundStepper`] and two knowledge-vector buffers, and each
-/// verdict goes closed-form-first through a [`SolvabilityMemo`] — the
-/// old path (kept verbatim as [`monte_carlo_reference`]) allocated a
-/// `Realization`, a full `Execution` trace, and a consistency partition
-/// per sample. RNG consumption is identical to the reference's, so the
-/// two produce bit-identical estimates from equal generator states
-/// (asserted by test and by `exp_perf_mc`).
+/// The Monte-Carlo oracle: one [`Realization`] allocation, one full
+/// [`Execution`](rsbt_sim::Execution) trace, and one
+/// consistency-partition construction per sample, with the dense-table
+/// cache of PR 4. Sample `i` is
+/// `Realization::sample(alpha, t, &mut StreamRng::new(seed, i))` — the
+/// stream discipline of the production kernels — so the estimate is
+/// bit-identical to [`monte_carlo_parallel`] and to the bit-sliced
+/// series at `t` on the same `(samples, seed)`. Ground truth for those
+/// kernels' bit-identity tests and the `exp_perf_mc` before/after
+/// benchmark; not used by production callers.
 ///
 /// # Panics
 ///
 /// Panics if `samples == 0` or exceeds [`MAX_MC_SAMPLES`], if
-/// `alpha.n() > 255`, or on a model/assignment node mismatch.
-pub fn monte_carlo<T: Task + ?Sized, R: Rng + ?Sized>(
+/// `t > rsbt_random::MAX_BITS` or `alpha.n() > 255`, or on a
+/// model/assignment node mismatch.
+pub fn monte_carlo_reference<T: Task + ?Sized>(
     model: &Model,
     task: &T,
     alpha: &Assignment,
     t: usize,
     samples: usize,
-    rng: &mut R,
-) -> Estimate {
-    check_mc_args(model, alpha, t, samples);
-    let table = engine::fallback_table(task, alpha.n());
-    let mut sampler = SampleKernel::new(model, task, table.as_ref(), alpha, t);
-    let solved = (0..samples)
-        .filter(|_| sampler.first_solving_round(rng, None).is_some())
-        .count();
-    Estimate::from_counts(solved as u64, samples)
-}
-
-/// The pre-kernel reference path, kept verbatim: one [`Realization`]
-/// allocation, one full [`Execution`](rsbt_sim::Execution) trace, and one
-/// consistency-partition construction per sample, with the dense-table
-/// cache of PR 4. Ground truth for the kernel path's bit-identity tests
-/// and the `exp_perf_mc` before/after benchmark; not used by production
-/// callers.
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo`].
-pub fn monte_carlo_reference<T: Task + ?Sized, R: Rng + ?Sized>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t: usize,
-    samples: usize,
-    rng: &mut R,
+    seed: u64,
 ) -> Estimate {
     check_mc_args(model, alpha, t, samples);
     let mut arena = KnowledgeArena::new();
     // One dense table for all samples (take-or-build, never per draw).
     let mut cache = OutputComplexCache::new();
     let mut solved = 0u64;
-    for _ in 0..samples {
-        let rho = Realization::sample(alpha, t, rng);
+    for i in 0..samples {
+        let rho = Realization::sample(alpha, t, &mut StreamRng::new(seed, i as u64));
         if solvability::solves_with_cache(model, &rho, task, &mut arena, &mut cache) {
             solved += 1;
         }
@@ -826,12 +613,12 @@ pub fn monte_carlo_reference<T: Task + ?Sized, R: Rng + ?Sized>(
 /// draws from [`StreamRng`]`(seed, i)`, workers take contiguous
 /// index ranges ([`pool::map_sample_chunks`]), and the per-chunk solved
 /// counts merge by integer addition — so the estimate is **bit-identical
-/// for any `threads` value**, and equal to the serial stream-order loop
-/// (asserted by property test).
+/// for any `threads` value**, and equal to [`monte_carlo_reference`]
+/// on the same `(samples, seed)` (asserted by test).
 ///
 /// # Panics
 ///
-/// Same conditions as [`monte_carlo`], plus `threads ≥ 1`.
+/// Same conditions as [`monte_carlo_reference`], plus `threads ≥ 1`.
 pub fn monte_carlo_parallel<T>(
     model: &Model,
     task: &T,
@@ -937,79 +724,12 @@ where
     Estimate::from_counts(solved, samples)
 }
 
-/// The estimated series `p̂(1), …, p̂(t_max)` from **one** sampling pass:
-/// each sample's first solving round decides its verdict at every `t`
-/// simultaneously (monotonicity), the Monte-Carlo mirror of the exact
-/// engine's one-traversal series.
-///
-/// Per-sample draws use stream `i` of the family keyed by `seed` with
-/// `t_max`-bit strings, so the estimate at each `t` is **bit-identical**
-/// to [`monte_carlo_parallel`]`(…, t, samples, seed, _)` (the per-source
-/// word draw does not depend on `t`; asserted by test) — at a `t_max`×
-/// lower sampling cost — and the series is exactly monotone (sample `i`
-/// at time `t` is the prefix of sample `i` at `t + 1`: common random
-/// numbers across the series).
-///
-/// # Panics
-///
-/// Same conditions as [`monte_carlo_parallel`], plus `t_max ≥ 1`.
-pub fn monte_carlo_series_parallel<T>(
-    model: &Model,
-    task: &T,
-    alpha: &Assignment,
-    t_max: usize,
-    samples: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<Estimate>
-where
-    T: Task + Sync + ?Sized,
-{
-    assert!(threads >= 1, "need at least one thread");
-    assert!(t_max >= 1, "need at least one round");
-    check_mc_args(model, alpha, t_max, samples);
-    let table = engine::fallback_table(task, alpha.n());
-    // first_solved[r] = samples whose first solving round is exactly
-    // r + 1 (round 0 counts as round 1: solved before any bits).
-    let (chunks, _) = fold_sample_chunks(
-        model,
-        task,
-        table.as_ref(),
-        alpha,
-        t_max,
-        seed,
-        0,
-        samples,
-        threads,
-        None,
-        || vec![0u64; t_max],
-        |first_solved, first| {
-            if let Some(r) = first {
-                first_solved[r.saturating_sub(1)] += 1;
-            }
-        },
-    );
-    let mut first_solved = vec![0u64; t_max];
-    for chunk in &chunks {
-        for (acc, c) in first_solved.iter_mut().zip(chunk) {
-            *acc += c;
-        }
-    }
-    // Prefix sums: solved-by-t from first-solved-at-r.
-    let mut solved = 0u64;
-    first_solved
-        .iter()
-        .map(|&c| {
-            solved += c;
-            Estimate::from_counts(solved, samples)
-        })
-        .collect()
-}
-
-/// Samples stream indices `[lo, hi)` of the family keyed by `seed` over
-/// `threads` workers; returns the solved count and merged kernel stats.
-/// `table` is the caller's dense fallback (built at most once per run —
-/// the adaptive loop reuses it across batches).
+/// The sharding every scalar estimator runs on: samples stream indices
+/// `[lo, hi)` of the family keyed by `seed` over `threads` workers, each
+/// counting the samples of its chunk that solve by `t`
+/// ([`SampleKernel::run_streams`]); returns the solved count and merged
+/// kernel stats. `table` is the caller's dense fallback (built at most
+/// once per run — the adaptive loop reuses it across batches).
 #[allow(clippy::too_many_arguments)]
 fn sample_stream_range<T>(
     model: &Model,
@@ -1026,69 +746,21 @@ fn sample_stream_range<T>(
 where
     T: Task + Sync + ?Sized,
 {
-    let (chunks, stats) = fold_sample_chunks(
-        model,
-        task,
-        table,
-        alpha,
-        t,
-        seed,
-        lo,
-        hi - lo,
-        threads,
-        faults,
-        || 0u64,
-        |solved, first| {
-            if first.is_some() {
-                *solved += 1;
-            }
-        },
-    );
-    (chunks.iter().sum(), stats)
-}
-
-/// The sharding every parallel scalar estimator runs on: each worker
-/// folds the first solving round of its samples in `[lo, lo + count)`
-/// ([`SampleKernel::run_streams`], streams keyed by `seed`) into a
-/// per-chunk accumulator — the count and series estimators differ only
-/// in their `tally`, so the stream keying and verdict dispatch that their
-/// documented bit-identity rests on cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-fn fold_sample_chunks<T, A, I, F>(
-    model: &Model,
-    task: &T,
-    table: Option<&FacetTable>,
-    alpha: &Assignment,
-    t: usize,
-    seed: u64,
-    lo: usize,
-    count: usize,
-    threads: usize,
-    faults: Option<&FaultSpec>,
-    init: I,
-    tally: F,
-) -> (Vec<A>, McStats)
-where
-    T: Task + Sync + ?Sized,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, Option<usize>) + Sync,
-{
-    let per_chunk = pool::map_sample_chunks(count, threads, |range| {
+    let per_chunk = pool::map_sample_chunks(hi - lo, threads, 1, |range| {
         let mut sampler = SampleKernel::new(model, task, table, alpha, t);
-        let mut acc = init();
+        let mut solved = 0u64;
         sampler.run_streams(seed, lo + range.start..lo + range.end, faults, |first| {
-            tally(&mut acc, first)
+            solved += u64::from(first.is_some())
         });
-        (acc, sampler.stats())
+        (solved, sampler.stats())
     });
-    let mut accs = Vec::with_capacity(per_chunk.len());
+    let mut solved = 0u64;
     let mut stats = McStats::default();
-    for (acc, st) in per_chunk {
-        accs.push(acc);
+    for (s, st) in per_chunk {
+        solved += s;
         stats.merge(&st);
     }
-    (accs, stats)
+    (solved, stats)
 }
 
 /// Configuration of the adaptive estimator: sample in batches until the
@@ -1135,7 +807,7 @@ impl Default for AdaptiveConfig {
 ///
 /// # Panics
 ///
-/// Panics on the [`monte_carlo`] conditions (with `samples` read as
+/// Panics on the [`monte_carlo_reference`] conditions (with `samples` read as
 /// `cfg.max_samples`), if `cfg.batch == 0`, if
 /// `cfg.target_half_width ≤ 0`, or if `threads == 0`.
 pub fn monte_carlo_adaptive<T>(
@@ -1191,9 +863,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
-    use rsbt_tasks::{KLeaderElection, LeaderElection};
+    use rsbt_tasks::{KLeaderElection, LeaderElection, WeakSymmetryBreaking};
 
     #[test]
     fn shared_source_never_solves() {
@@ -1251,17 +921,18 @@ mod tests {
     #[test]
     fn monte_carlo_matches_exact() {
         let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let mut rng = StdRng::seed_from_u64(12345);
         let t = 3;
         let exact_p = exact(&Model::Blackboard, &LeaderElection, &alpha, t);
-        let est = monte_carlo(
+        let (series, _) = monte_carlo_bitsliced_series_with_stats(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,
             t,
             20_000,
-            &mut rng,
+            12345,
+            2,
         );
+        let est = series[t - 1];
         assert!(
             est.is_consistent_with(exact_p, 4.0),
             "MC {est:?} vs exact {exact_p}"
@@ -1318,19 +989,27 @@ mod tests {
 
     #[test]
     fn kernel_monte_carlo_bit_identical_to_reference() {
-        // Equal generator states must produce bit-identical estimates:
-        // the kernel path consumes the RNG exactly like the reference.
+        // Equal (samples, seed) must produce bit-identical estimates: the
+        // kernel draws sample i from the reference's stream i, for any
+        // worker count.
+        let two_le = KLeaderElection::new(2);
+        let tasks: [&(dyn Task + Sync); 3] = [&LeaderElection, &two_le, &WeakSymmetryBreaking];
         for (sizes, t) in [(vec![1usize, 2], 3), (vec![2, 2], 5), (vec![1, 1, 1], 2)] {
             let alpha = Assignment::from_group_sizes(&sizes).unwrap();
             for model in [Model::Blackboard, Model::message_passing_cyclic(alpha.n())] {
-                let mut rng_a = StdRng::seed_from_u64(99);
-                let mut rng_b = StdRng::seed_from_u64(99);
-                let kernel = monte_carlo(&model, &LeaderElection, &alpha, t, 2_000, &mut rng_a);
-                let reference =
-                    monte_carlo_reference(&model, &LeaderElection, &alpha, t, 2_000, &mut rng_b);
-                assert_eq!(kernel, reference, "{model} {sizes:?} t={t}");
-                // And the generators are left in identical states.
-                assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+                for task in tasks {
+                    let reference = monte_carlo_reference(&model, task, &alpha, t, 2_000, 99);
+                    for threads in [1usize, 3] {
+                        let kernel =
+                            monte_carlo_parallel(&model, task, &alpha, t, 2_000, 99, threads);
+                        assert_eq!(
+                            kernel,
+                            reference,
+                            "{} {model} {sizes:?} t={t} threads={threads}",
+                            task.name()
+                        );
+                    }
+                }
             }
         }
     }
@@ -1512,14 +1191,22 @@ mod tests {
 
     #[test]
     fn one_pass_series_equals_per_t_estimates() {
-        // The single sampling pass must reproduce each fixed-t estimate
-        // bit-for-bit (the per-source word draw does not depend on t),
-        // and the common-random-numbers series must be exactly monotone.
+        // The single bit-sliced sampling pass must reproduce each fixed-t
+        // scalar estimate bit-for-bit (the per-source word draw does not
+        // depend on t), and the common-random-numbers series must be
+        // exactly monotone.
         for sizes in [vec![1usize, 2], vec![2, 2], vec![1, 1, 2]] {
             let alpha = Assignment::from_group_sizes(&sizes).unwrap();
             for model in [Model::Blackboard, Model::message_passing_cyclic(alpha.n())] {
-                let series =
-                    monte_carlo_series_parallel(&model, &LeaderElection, &alpha, 5, 2_000, 13, 3);
+                let (series, _) = monte_carlo_bitsliced_series_with_stats(
+                    &model,
+                    &LeaderElection,
+                    &alpha,
+                    5,
+                    2_000,
+                    13,
+                    3,
+                );
                 assert_eq!(series.len(), 5);
                 for (i, est) in series.iter().enumerate() {
                     let per_t =
@@ -1552,22 +1239,21 @@ mod tests {
     #[should_panic(expected = "need at least one sample")]
     fn monte_carlo_rejects_zero_samples() {
         let alpha = Assignment::private(2);
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = monte_carlo(&Model::Blackboard, &LeaderElection, &alpha, 1, 0, &mut rng);
+        let _ = monte_carlo_parallel(&Model::Blackboard, &LeaderElection, &alpha, 1, 0, 0, 1);
     }
 
     #[test]
     #[should_panic(expected = "f64-exact range")]
     fn monte_carlo_rejects_overflowing_sample_counts() {
         let alpha = Assignment::private(2);
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = monte_carlo(
+        let _ = monte_carlo_parallel(
             &Model::Blackboard,
             &LeaderElection,
             &alpha,
             1,
             MAX_MC_SAMPLES + 1,
-            &mut rng,
+            0,
+            1,
         );
     }
 
@@ -1584,9 +1270,8 @@ mod tests {
     #[should_panic(expected = "model/assignment node mismatch")]
     fn monte_carlo_rejects_node_mismatch() {
         let alpha = Assignment::private(3);
-        let mut rng = StdRng::seed_from_u64(0);
         let model = Model::message_passing_cyclic(4);
-        let _ = monte_carlo(&model, &LeaderElection, &alpha, 1, 10, &mut rng);
+        let _ = monte_carlo_parallel(&model, &LeaderElection, &alpha, 1, 10, 0, 1);
     }
 
     #[test]
@@ -1745,57 +1430,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cache_replays_bit_identical_values() {
-        let mut cache = Cache::new();
-        let alpha = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let first = exact_series_cached(&mut cache, &Model::Blackboard, &LeaderElection, &alpha, 4);
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.len(), 4);
-        // A longer series extends the cached prefix: 4 hits + 2 misses.
-        let longer =
-            exact_series_cached(&mut cache, &Model::Blackboard, &LeaderElection, &alpha, 6);
-        assert_eq!(cache.hits(), 4);
-        assert_eq!(cache.misses(), 6);
-        assert_eq!(&longer[..4], &first[..]);
-        for (i, &p) in longer.iter().enumerate() {
-            let fresh = exact(&Model::Blackboard, &LeaderElection, &alpha, i + 1);
-            assert_eq!(p.to_bits(), fresh.to_bits(), "t={}", i + 1);
-        }
-    }
-
-    #[test]
-    fn cache_key_distinguishes_model_task_and_alpha() {
-        let mut cache = Cache::new();
-        let a12 = Assignment::from_group_sizes(&[1, 2]).unwrap();
-        let a111 = Assignment::from_group_sizes(&[1, 1, 1]).unwrap();
-        let two = KLeaderElection::new(2);
-        let mp = Model::message_passing_cyclic(3);
-        let points: Vec<f64> = vec![
-            exact_cached(&mut cache, &Model::Blackboard, &LeaderElection, &a12, 2),
-            exact_cached(&mut cache, &Model::Blackboard, &LeaderElection, &a111, 2),
-            exact_cached(&mut cache, &Model::Blackboard, &two, &a111, 2),
-            exact_cached(&mut cache, &mp, &LeaderElection, &a111, 2),
-        ];
-        assert_eq!(cache.len(), 4, "four distinct keys, no collisions");
-        assert_eq!(cache.misses(), 4);
-        // Replays hit and agree.
-        assert_eq!(
-            exact_cached(&mut cache, &mp, &LeaderElection, &a111, 2).to_bits(),
-            points[3].to_bits()
-        );
-        assert_eq!(cache.hits(), 1);
-        let name = LeaderElection.name();
-        assert_eq!(
-            cache.peek_named(&Model::Blackboard, &name, a12.sources(), 2),
-            Some(points[0])
-        );
-        assert_eq!(
-            cache.peek_named(&Model::Blackboard, &name, a12.sources(), 3),
-            None
-        );
     }
 }

@@ -336,39 +336,40 @@ impl McBackend {
         assert!(self.samples > 0, "need at least one sample");
         let projection = choreo.global().project(job.model, job.alpha.n())?;
         let options = projection.options();
-        let chunks = map_sample_chunks(self.samples as usize, self.threads, |range| -> McChunk {
-            let mut acc = McChunk {
-                completed_by_round: vec![0; job.max_rounds],
-                ..McChunk::default()
-            };
-            for i in range {
-                let nodes: Vec<C::Node> = (0..job.alpha.n())
-                    .map(|idx| choreo.node(idx, job.model, &projection))
-                    .collect();
-                let mut rng = StreamRng::new(job.seed, i as u64);
-                let out = run_nodes_with(
-                    job.model,
-                    job.alpha,
-                    job.max_rounds,
-                    nodes,
-                    &mut rng,
-                    options,
-                );
-                if out.completed {
-                    acc.successes += 1;
-                    acc.sum_rounds += out.rounds as u64;
-                    for slot in &mut acc.completed_by_round[out.rounds - 1..] {
-                        *slot += 1;
+        let chunks =
+            map_sample_chunks(self.samples as usize, self.threads, 1, |range| -> McChunk {
+                let mut acc = McChunk {
+                    completed_by_round: vec![0; job.max_rounds],
+                    ..McChunk::default()
+                };
+                for i in range {
+                    let nodes: Vec<C::Node> = (0..job.alpha.n())
+                        .map(|idx| choreo.node(idx, job.model, &projection))
+                        .collect();
+                    let mut rng = StreamRng::new(job.seed, i as u64);
+                    let out = run_nodes_with(
+                        job.model,
+                        job.alpha,
+                        job.max_rounds,
+                        nodes,
+                        &mut rng,
+                        options,
+                    );
+                    if out.completed {
+                        acc.successes += 1;
+                        acc.sum_rounds += out.rounds as u64;
+                        for slot in &mut acc.completed_by_round[out.rounds - 1..] {
+                            *slot += 1;
+                        }
                     }
+                    acc.stats.posts += out.stats.posts;
+                    acc.stats.sends += out.stats.sends;
+                    acc.stats.crashes += out.stats.crashes;
+                    acc.stats.omissions += out.stats.omissions;
+                    acc.stats.max_msg_bytes = acc.stats.max_msg_bytes.max(out.stats.max_msg_bytes);
                 }
-                acc.stats.posts += out.stats.posts;
-                acc.stats.sends += out.stats.sends;
-                acc.stats.crashes += out.stats.crashes;
-                acc.stats.omissions += out.stats.omissions;
-                acc.stats.max_msg_bytes = acc.stats.max_msg_bytes.max(out.stats.max_msg_bytes);
-            }
-            acc
-        });
+                acc
+            });
         let mut successes = 0;
         let mut sum_rounds = 0;
         let mut completed_by_round = vec![0u64; job.max_rounds];

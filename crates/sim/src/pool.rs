@@ -18,7 +18,8 @@
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`, or propagates a worker panic.
+/// Panics if `threads == 0`, or re-raises a worker's panic with its own
+/// payload.
 pub fn map_items<I, R, F>(items: &[I], threads: usize, f: F) -> Vec<R>
 where
     I: Sync,
@@ -42,7 +43,7 @@ where
         // independent of which worker finished first.
         handles
             .into_iter()
-            .map(|h| h.join().expect("pool worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     });
     let mut out = Vec::with_capacity(items.len());
@@ -65,34 +66,21 @@ where
 /// returned per-chunk values (integer sums in practice) equals the serial
 /// loop's exactly.
 ///
+/// Chunk boundaries are rounded up to a multiple of `align`: every chunk
+/// starts at an index divisible by `align`, and every chunk except the
+/// last covers a whole number of `align`-sized words. The bit-sliced
+/// Monte-Carlo kernel passes `align = 64` so each worker owns whole lane
+/// words and only the globally last word can be partially filled; the
+/// scalar samplers pass `align = 1`.
+///
 /// Returns one result per non-empty chunk, ordered by chunk start; with
 /// `threads == 1` this degenerates to a single serial fold.
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`, or propagates a worker panic.
-pub fn map_sample_chunks<R, F>(total: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> R + Sync,
-{
-    map_sample_chunks_aligned(total, threads, 1, f)
-}
-
-/// [`map_sample_chunks`] with chunk boundaries rounded up to a multiple
-/// of `align`: every chunk starts at an index divisible by `align`, and
-/// every chunk except the last covers a whole number of `align`-sized
-/// words. The bit-sliced Monte-Carlo kernel passes `align = 64` so each
-/// worker owns whole lane words and only the globally last word can be
-/// partially filled.
-///
-/// `align = 1` is exactly [`map_sample_chunks`].
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or `align == 0`, or propagates a worker
+/// Panics if `threads == 0` or `align == 0`, or re-raises a worker's
 /// panic.
-pub fn map_sample_chunks_aligned<R, F>(total: usize, threads: usize, align: usize, f: F) -> Vec<R>
+pub fn map_sample_chunks<R, F>(total: usize, threads: usize, align: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(std::ops::Range<usize>) -> R + Sync,
@@ -156,13 +144,38 @@ mod tests {
     }
 
     #[test]
+    fn worker_panics_keep_their_own_message() {
+        let items: Vec<u32> = (0..4).collect();
+        let caught = std::panic::catch_unwind(|| {
+            map_items(&items, 2, |&i| {
+                if i == 3 {
+                    panic!("item 3 is poisoned");
+                }
+                i
+            })
+        });
+        let payload = caught.expect_err("the worker panic must propagate");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("item 3 is poisoned"));
+    }
+
+    #[test]
     fn sample_chunks_cover_the_range_exactly_once() {
         for total in [0usize, 1, 2, 7, 64, 100] {
             for threads in [1usize, 2, 3, 4, 8, 64] {
-                let chunks = map_sample_chunks(total, threads, |r| r.collect::<Vec<usize>>());
-                let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-                let expect: Vec<usize> = (0..total).collect();
-                assert_eq!(flat, expect, "total={total} threads={threads}");
+                for align in [1usize, 3, 64] {
+                    let chunks =
+                        map_sample_chunks(total, threads, align, |r| r.collect::<Vec<usize>>());
+                    let flat: Vec<usize> = chunks.into_iter().flatten().collect();
+                    let expect: Vec<usize> = (0..total).collect();
+                    assert_eq!(
+                        flat, expect,
+                        "total={total} threads={threads} align={align}"
+                    );
+                }
             }
         }
     }
@@ -174,17 +187,20 @@ mod tests {
         let per_index = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9) % 7;
         let serial: u64 = (0..1000).map(per_index).sum();
         for threads in [1usize, 2, 3, 4, 8] {
-            let total: u64 = map_sample_chunks(1000, threads, |r| r.map(per_index).sum::<u64>())
-                .into_iter()
-                .sum();
-            assert_eq!(total, serial, "threads={threads}");
+            for align in [1usize, 64] {
+                let total: u64 =
+                    map_sample_chunks(1000, threads, align, |r| r.map(per_index).sum::<u64>())
+                        .into_iter()
+                        .sum();
+                assert_eq!(total, serial, "threads={threads} align={align}");
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn sample_chunks_zero_threads_rejected() {
-        let _ = map_sample_chunks(4, 0, |r| r.len());
+        let _ = map_sample_chunks(4, 0, 1, |r| r.len());
     }
 
     #[test]
@@ -193,7 +209,7 @@ mod tests {
         // below 64, and a single sample.
         for total in [0usize, 1, 2, 63, 64, 65, 127, 128, 130, 1000] {
             for threads in [1usize, 2, 3, 4, 8, 64] {
-                let chunks = map_sample_chunks_aligned(total, threads, 64, |r| r);
+                let chunks = map_sample_chunks(total, threads, 64, |r| r);
                 let flat: Vec<usize> = chunks.iter().cloned().flatten().collect();
                 let expect: Vec<usize> = (0..total).collect();
                 assert_eq!(flat, expect, "total={total} threads={threads}");
@@ -210,10 +226,15 @@ mod tests {
 
     #[test]
     fn align_one_matches_the_unaligned_chunking() {
+        // align = 1 is the plain split: ceil(total / threads) per chunk.
         for total in [0usize, 1, 7, 100, 129] {
             for threads in [1usize, 2, 3, 8] {
-                let plain = map_sample_chunks(total, threads, |r| r);
-                let aligned = map_sample_chunks_aligned(total, threads, 1, |r| r);
+                let chunk = total.div_ceil(threads).max(1);
+                let plain: Vec<_> = (0..total)
+                    .step_by(chunk)
+                    .map(|lo| lo..(lo + chunk).min(total))
+                    .collect();
+                let aligned = map_sample_chunks(total, threads, 1, |r| r);
                 assert_eq!(plain, aligned, "total={total} threads={threads}");
             }
         }
@@ -222,6 +243,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "alignment must be at least 1")]
     fn zero_alignment_rejected() {
-        let _ = map_sample_chunks_aligned(4, 1, 0, |r| r.len());
+        let _ = map_sample_chunks(4, 1, 0, |r| r.len());
     }
 }

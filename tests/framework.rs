@@ -203,10 +203,6 @@ fn protocol_agrees_with_framework_message_passing() {
 /// Monte-Carlo estimates agree with exact enumeration across models.
 #[test]
 fn monte_carlo_agrees_with_exact() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let mut rng = StdRng::seed_from_u64(5);
     let cases = [
         (Model::Blackboard, vec![1usize, 2]),
         (Model::message_passing_cyclic(4), vec![2, 2]),
@@ -215,7 +211,16 @@ fn monte_carlo_agrees_with_exact() {
         let alpha = Assignment::from_group_sizes(&sizes).unwrap();
         let t = 3;
         let exact = probability::exact(&model, &LeaderElection, &alpha, t);
-        let est = probability::monte_carlo(&model, &LeaderElection, &alpha, t, 30_000, &mut rng);
+        let (series, _) = probability::monte_carlo_bitsliced_series_with_stats(
+            &model,
+            &LeaderElection,
+            &alpha,
+            t,
+            30_000,
+            5,
+            2,
+        );
+        let est = series[t - 1];
         assert!(
             est.is_consistent_with(exact, 4.5),
             "{model} {sizes:?}: exact {exact} vs {est:?}"
